@@ -62,6 +62,7 @@ struct Sample {
   double wall_seconds = 0;
   fc::u64 resident_frames = 0;
   fc::u64 steals = 0;
+  fc::cpu::DecodeStore::Stats decode;
 };
 
 Sample measure(const fc::core::SharedImage& image,
@@ -73,6 +74,7 @@ Sample measure(const fc::core::SharedImage& image,
   s.wall_seconds = report.wall_seconds;
   s.resident_frames = report.resident_frames();
   s.steals = report.steals;
+  s.decode = report.decode_store;
   if (s.wall_seconds > 0)
     s.insns_per_sec = static_cast<double>(s.insns) / s.wall_seconds;
   for (const fc::fleet::VmResult& vm : report.vms) {
@@ -249,6 +251,23 @@ int main(int argc, char** argv) {
   row("8 VMs, scaling axis,  jobs=1", s_scale1);
   row("8 VMs, scaling axis,  jobs=8", s_scale8);
   row("1 VM,  shared image", s_one);
+
+  // Host-side decode work: which VM decodes a shared start first depends on
+  // scheduling, so these vary with jobs and stay out of the JSON.
+  std::printf("\n%-34s %12s %12s %10s %12s\n", "decode store",
+              "insns dec.", "adoptions", "starts", "resident KiB");
+  std::printf("%s\n", std::string(84, '-').c_str());
+  auto decode_row = [](const char* name, const Sample& s) {
+    std::printf("%-34s %12llu %12llu %10llu %12llu\n", name,
+                (unsigned long long)s.decode.insns_decoded,
+                (unsigned long long)s.decode.adoptions,
+                (unsigned long long)s.decode.starts,
+                (unsigned long long)(s.decode.resident_bytes / 1024));
+  };
+  decode_row("8 VMs, rebuild per VM, jobs=1", s_rebuild);
+  decode_row("8 VMs, shared image,  jobs=1", s_shared1);
+  decode_row("8 VMs, shared image,  jobs=8", s_shared8);
+  decode_row("8 VMs, scaling axis,  jobs=8", s_scale8);
 
   // The fleet runner picks its worker count; credit the best configuration
   // (on a single-core host extra workers only add scheduling overhead, on

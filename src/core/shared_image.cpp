@@ -41,6 +41,7 @@ void SharedImage::capture_view(const mem::HostMemory& host,
 void SharedImage::finalize() {
   store.freeze();
   machine.store = &store;
+  decode = std::make_unique<cpu::DecodeStore>(store);
 }
 
 }  // namespace fc::core

@@ -3,7 +3,8 @@
 // post-boot guest-physical memory image (MachineImage over a frozen
 // SharedFrameStore), every captured kernel view's shadow pages and loaded
 // ranges, the static-analysis audit, and prebuilt switch-delta descriptors
-// for all (from, to) view pairs.
+// for all (from, to) view pairs, plus the decode store every VM's block
+// cache reads shared code from (cpu::DecodeStore).
 //
 // Why descriptors can be captured at all: frame numbers and EPT table ids
 // are allocation-order-deterministic, and a clone VM constructed from the
@@ -14,10 +15,12 @@
 // divergence is a hard FC_CHECK, not silent corruption.
 //
 // A SharedImage is immutable after capture and must outlive every VM
-// constructed from it; concurrent readers need no locks (the only mutable
-// state, the store's refcounts, is atomic).
+// constructed from it; concurrent readers need no locks. Its only mutable
+// state is the store's refcounts (atomic) and the decode store, which only
+// ever adds decodes of immutable store pages (its own per-shard locks).
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/static_audit.hpp"
@@ -25,6 +28,7 @@
 #include "core/viewconfig.hpp"
 #include "mem/shared_frames.hpp"
 #include "os/os_runtime.hpp"
+#include "vcpu/decode_store.hpp"
 
 namespace fc::core {
 
@@ -67,6 +71,10 @@ struct SharedImage {
   /// All (from, to) pairs over {full view, 1..views.size()}.
   std::vector<PrebuiltSwitch> switches;
 
+  /// Decodes of `store` pages shared by every VM's block cache; created by
+  /// finalize() (it indexes the frozen store).
+  std::unique_ptr<cpu::DecodeStore> decode;
+
   /// Allocation-order invariants a clone validates while rehydrating.
   u32 frames_after_boot = 0;
   u32 frames_after_views = 0;
@@ -83,8 +91,8 @@ struct SharedImage {
   /// Capture one built view's shadow pages (in allocation order).
   void capture_view(const mem::HostMemory& host, const KernelView& view,
                     const KernelViewConfig& config);
-  /// Freeze the store and point `machine.store` at it. After this the image
-  /// is immutable and VMs may attach.
+  /// Freeze the store, point `machine.store` at it and create the decode
+  /// store. After this the image is immutable and VMs may attach.
   void finalize();
 };
 

@@ -334,6 +334,7 @@ FleetReport FleetRunner::run() {
   report.shared_store_pages =
       options_.share_image ? image_->store.page_count() : 0;
 
+  const cpu::DecodeStore::Stats decode_before = image_->decode->stats();
   const auto start = std::chrono::steady_clock::now();
   WorkStealingQueues queue(jobs, vms);
   // No result-sink lock: report.vms is pre-sized and each VM id is claimed
@@ -355,6 +356,9 @@ FleetReport FleetRunner::run() {
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  report.decode_store = image_->decode->stats();
+  report.decode_store.insns_decoded -= decode_before.insns_decoded;
+  report.decode_store.adoptions -= decode_before.adoptions;
   return report;
 }
 

@@ -8,11 +8,12 @@
 // disjoint pre-sized report slots with the pool join as the publishing edge,
 // so there is no result-sink lock. The only cross-worker state is the shared
 // store's page refcounts — cache-line-isolated atomics that each VM batches
-// locally and flushes at boot-settle/teardown (see HostMemory) — and the
-// scheduler deques. Private frame storage comes from thread-local page
-// arenas, keeping the global allocator off the VM hot path. The obs
-// recorder/metrics registries are thread-local, so tracing one VM never
-// races another.
+// locally and flushes at boot-settle/teardown (see HostMemory) — the image's
+// decode store (per-shard locks, taken only on block-cache misses over
+// shared frames) and the scheduler deques. Private frame storage comes from
+// thread-local page arenas, keeping the global allocator off the VM hot
+// path. The obs recorder/metrics registries are thread-local, so tracing one
+// VM never races another.
 //
 // Determinism contract (extends PR 4's across threads): a VM's simulation
 // depends only on (shared image, app, iterations, budget) — never on which
@@ -118,6 +119,12 @@ struct FleetReport {
   /// VM ids migrated between workers by the work-stealing scheduler.
   /// Scheduling telemetry — like wall_seconds, excluded from to_json().
   u64 steals = 0;
+  /// The image's decode store over this run: insns_decoded and adoptions
+  /// are this run's share, starts and resident_bytes the store's totals
+  /// after it. Which VM decodes a shared start first depends on
+  /// scheduling, so these vary with jobs — excluded from to_json() and
+  /// from every VM's metrics_json.
+  cpu::DecodeStore::Stats decode_store;
 
   u64 total_instructions() const;
   /// Shared store pages + every VM's private frames: the fleet's resident

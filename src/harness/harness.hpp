@@ -46,6 +46,10 @@ class GuestSystem {
   GuestSystem(os::OsConfig config, const core::SharedImage& image)
       : hv_(image.guest_phys_mib, &image.machine),
         os_(hv_, config, &image.boot) {
+    FC_CHECK(image.decode != nullptr &&
+                 &image.decode->pages() == hv_.machine().host().store(),
+             << "shared image is not finalized");
+    hv_.vcpu().block_cache().attach_decode_store(image.decode.get());
     os_.boot();
     // Boot replay transiently diverges a handful of frames (table pages are
     // zeroed then rebuilt to their captured contents); fold the pure copies

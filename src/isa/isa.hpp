@@ -80,14 +80,16 @@ enum class Op : u8 {
   kRdtsc,       // 0F 31                    A = cycles lo, D = cycles hi
 };
 
-/// A decoded instruction. `length` is the encoded size in bytes.
+/// A decoded instruction. `length` is the encoded size in bytes. The byte
+/// fields lead so the struct packs into 12 bytes: block caches and the
+/// decode store hold one per decoded instruction.
 struct Instruction {
   Op op = Op::kNop;
   Reg r1 = Reg::A;  // destination / pushed / popped register
   Reg r2 = Reg::A;  // source register
+  u8 length = 1;
   i32 disp = 0;     // memory displacement (kLoad/kStore) or branch rel
   u32 imm = 0;      // immediate (imm32 / imm16 / imm8)
-  u8 length = 1;
 
   /// Branch/call target for PC-relative instructions, given this
   /// instruction's own address.

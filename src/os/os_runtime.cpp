@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include <cstdlib>
 #include <cstdio>
 
 #include "obs/trace.hpp"
@@ -858,13 +857,13 @@ void OsRuntime::on_ksvc(u16 service, Vcpu& vcpu) {
       A = 0;
       break;
     case abi::kKsvcDup2: {
-      Fd* fd = fd_ref(B);
-      if (fd == nullptr) {
+      if (fd_ref(B) == nullptr) {
         A = kEbadf;
       } else {
+        // Index, not a pointer: growing the table may reallocate it.
         while (t.fds.size() <= C) t.fds.push_back(Fd{});
         fd_close(t.fds[C]);
-        t.fds[C] = *fd;
+        t.fds[C] = t.fds[B];
         fd_addref(t.fds[C]);
         A = C;
       }
@@ -942,10 +941,9 @@ void OsRuntime::on_ksvc(u16 service, Vcpu& vcpu) {
     }
     case abi::kKsvcSockAccept: {
       Fd* fd = fd_ref(B);
-      if (std::getenv("FC_NET_DEBUG") != nullptr)
-        std::fprintf(stderr, "accept ksvc B=%u pid=%u valid=%d at %llu\n", B,
-                     t.pid, fd != nullptr ? 1 : 0,
-                     (unsigned long long)vcpu.cycles());
+      FC_DEBUG << "accept ksvc B=" << B << " pid=" << t.pid
+               << " valid=" << (fd != nullptr ? 1 : 0) << " at "
+               << vcpu.cycles();
       if (fd == nullptr) {
         A = kEbadf;
         break;
@@ -1685,9 +1683,7 @@ void OsRuntime::schedule_datagram(Cycles at, u16 port, u32 len) {
 
 void OsRuntime::schedule_connection(Cycles at, u16 port, u32 request_len) {
   events_.schedule_at(at, [this, port, request_len] {
-    if (std::getenv("FC_NET_DEBUG") != nullptr)
-      std::fprintf(stderr, "syn fire at %llu\n",
-                   (unsigned long long)hv_->vcpu().cycles());
+    FC_DEBUG << "syn fire at " << hv_->vcpu().cycles();
     deliver_packet({PendingPacket::kSyn, port, 0, request_len});
   });
 }

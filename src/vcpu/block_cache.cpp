@@ -63,30 +63,27 @@ const DecodedBlock* BlockCache::build(mem::HostMemory& host,
     ++stats_.inval_capacity;
   }
 
-  const std::span<const u8> bytes =
-      static_cast<const mem::HostMemory&>(host).frame(frame);
+  // A start in the page tail may hold an instruction that straddles the
+  // page end, which only the slow path can fetch; the vCPU retries such a
+  // start on every pass, and a failed private decode is cheaper than a
+  // trip to the shared store.
+  std::span<const isa::Instruction> insns;
+  if (decode_store_ != nullptr && host.is_shared(frame) &&
+      kPageSize - offset >= isa::kMaxInstructionLength) {
+    insns = decode_store_->run(host.shared_backing(frame), offset);
+    insns = insns.first(std::min<std::size_t>(insns.size(), kMaxBlockInsns));
+  } else {
+    insns = decode_private(host, frame, offset);
+  }
+  if (insns.empty()) return nullptr;
+
   DecodedBlock block;
   block.frame = frame;
   block.offset = static_cast<u16>(offset);
   block.frame_gen = gen(frame);
   block.heat = 1;
-  u32 at = offset;
-  while (at < kPageSize && block.insns.size() < kMaxBlockInsns) {
-    // Decode strictly from in-page bytes: an instruction straddling the page
-    // boundary is left to the slow path, which alone can fetch across the
-    // (possibly differently-mapped) next page.
-    isa::DecodeResult dec = isa::decode(bytes.subspan(at, kPageSize - at));
-    if (!dec.ok()) break;
-    ++stats_.insns_decoded;
-    block.insns.push_back(dec.insn);
-    at += dec.insn.length;
-    // UD2 ends a block like control flow does: it always traps, and under
-    // FACE-CHANGE the bytes after it are usually more filler.
-    if (isa::is_control_flow(dec.insn.op) || dec.insn.op == isa::Op::kUd2)
-      break;
-  }
-  if (block.insns.empty()) return nullptr;
-
+  block.insns = insns;
+  stats_.insns_decoded += insns.size();
   ++stats_.blocks_built;
   if (frame >= frame_gens_.size()) {
     frame_gens_.resize(frame + 1, 0);
@@ -111,6 +108,31 @@ const DecodedBlock* BlockCache::build(mem::HostMemory& host,
     }
   }
   return &arena_[index];
+}
+
+std::span<const isa::Instruction> BlockCache::decode_private(
+    const mem::HostMemory& host, HostFrame frame, u32 offset) {
+  if (private_used_ + kMaxBlockInsns > kPrivateChunkInsns) {
+    private_chunks_.push_back(
+        std::make_unique<isa::Instruction[]>(kPrivateChunkInsns));
+    private_used_ = 0;
+  }
+  isa::Instruction* out = private_chunks_.back().get() + private_used_;
+  const std::span<const u8> bytes = host.frame(frame);
+  u32 count = 0;
+  u32 at = offset;
+  while (at < kPageSize && count < kMaxBlockInsns) {
+    // Decode strictly from in-page bytes: an instruction straddling the page
+    // boundary is left to the slow path, which alone can fetch across the
+    // (possibly differently-mapped) next page.
+    isa::DecodeResult dec = isa::decode(bytes.subspan(at, kPageSize - at));
+    if (!dec.ok()) break;
+    out[count++] = dec.insn;
+    at += dec.insn.length;
+    if (ends_block(dec.insn)) break;
+  }
+  private_used_ += count;
+  return {out, count};
 }
 
 const DecodedBlock* BlockCache::peek(HostFrame frame, u32 offset) const {
@@ -153,6 +175,8 @@ void BlockCache::on_code_frame_write(HostFrame frame,
 void BlockCache::clear() {
   std::fill(slots_.begin(), slots_.end(), kEmptySlot);
   arena_.clear();
+  private_chunks_.clear();
+  private_used_ = kPrivateChunkInsns;
   resident_ = 0;
   cur_insns_ = nullptr;
   std::fill(frame_live_.begin(), frame_live_.end(), 0);

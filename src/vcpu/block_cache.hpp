@@ -20,24 +20,37 @@
 //     single compare on every use — correctness never depends on scanning
 //     the cache.
 //
+// Where the instructions come from: a block on a frame that is currently
+// backed by a shared store page (HostMemory::is_shared) is a span into the
+// image's DecodeStore, decoded once for every VM booted from that image; a
+// block on a private or zero-backed frame is decoded into this cache's own
+// buffer. Either way a decode is a pure function of the bytes it was made
+// from, and validity is still this VM's own (frame, generation): a COW
+// promotion fires the write barrier like any other write, so the stale
+// store-backed block is rebuilt privately while sibling VMs keep theirs.
+//
 // Storage is an open-addressing hash table (flat key/slot arrays, linear
 // probing, no deletion except full clears) over an arena of blocks: branch
 // targets — the hot lookup, once per taken branch — cost one hash probe
 // instead of an unordered_map find. The straight-line cursor keeps copies
 // (instruction pointer, frame, generation) rather than a block pointer, so
-// arena growth never invalidates it; a block's `insns` heap buffer outlives
-// any in-place rebuild of its table slot until the next full clear, and the
-// generation compare retires stale cursors before they can be served.
+// arena growth never invalidates it; a block's instructions (store spans
+// live as long as the image, private chunks until the next full clear)
+// outlive any in-place rebuild of its table slot, and the generation compare
+// retires stale cursors before they can be served.
 //
-// Blocks end at control flow, at the page boundary, at an undecodable byte
-// sequence, or at a fixed instruction cap.
+// Blocks end at control flow or UD2 (ends_block), at the page boundary, at
+// an undecodable byte sequence, or at a fixed instruction cap.
 #pragma once
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "isa/isa.hpp"
 #include "mem/host_memory.hpp"
 #include "support/types.hpp"
+#include "vcpu/decode_store.hpp"
 
 namespace fc::cpu {
 
@@ -46,7 +59,9 @@ struct DecodedBlock {
   u16 offset = 0;     // first instruction's offset within the frame
   u32 frame_gen = 0;  // frame write-generation the decode is valid for
   u32 heat = 0;       // table-probe hit count; the trace tier's promotion key
-  std::vector<isa::Instruction> insns;
+  /// Into the image's DecodeStore (shared frames) or this cache's private
+  /// chunks (private frames); never owned by the block.
+  std::span<const isa::Instruction> insns;
 };
 
 class BlockCache final : public mem::CodeWriteSink {
@@ -60,11 +75,16 @@ class BlockCache final : public mem::CodeWriteSink {
   static constexpr u32 kMaxBlocks = 1u << 16;
   static constexpr u32 kTableSize = 1u << 17;  // power of two, > 2x blocks
 
+  // Per-VM and deterministic: a block adopted from the DecodeStore counts
+  // in blocks_built and insns_decoded (and is charged cost_decode) exactly
+  // as a private decode of the same bytes, so these never depend on which
+  // VM of a fleet decoded the shared code first. The store's own counters
+  // (DecodeStore::Stats) hold the host decode work actually done.
   struct Stats {
     u64 insn_hits = 0;      // instructions served from a decoded block
     u64 block_misses = 0;   // lookups that had to (re)build
-    u64 blocks_built = 0;
-    u64 insns_decoded = 0;  // decode work actually performed
+    u64 blocks_built = 0;   // private decodes + store adoptions
+    u64 insns_decoded = 0;  // instructions in those blocks
     u64 uncacheable = 0;    // misses where not even one insn decoded
     // Invalidations by cause. Each counts *frames* whose cached decodes
     // became stale, not individual writes (a frame's generation bumps once
@@ -78,8 +98,13 @@ class BlockCache final : public mem::CodeWriteSink {
 
   struct Fetched {
     const isa::Instruction* insn = nullptr;  // nullptr → take the slow path
-    u32 insns_decoded = 0;  // decode work done by this call (block build)
+    u32 insns_decoded = 0;  // instructions in the block this call built
   };
+
+  /// Take blocks on store-backed frames from `store` (the decode store of
+  /// the image this VM's HostMemory attached) instead of decoding them.
+  /// nullptr = decode everything privately.
+  void attach_decode_store(const DecodeStore* store) { decode_store_ = store; }
 
   /// Return the decoded instruction at (frame, offset) — which the caller
   /// has already resolved via the MMU for `va` — building a block if needed.
@@ -157,6 +182,8 @@ class BlockCache final : public mem::CodeWriteSink {
 
   const DecodedBlock* build(mem::HostMemory& host, HostFrame frame,
                             u32 offset);
+  std::span<const isa::Instruction> decode_private(
+      const mem::HostMemory& host, HostFrame frame, u32 offset);
   u32 gen(HostFrame frame) const {
     return frame < frame_gens_.size() ? frame_gens_[frame] : 0;
   }
@@ -169,14 +196,21 @@ class BlockCache final : public mem::CodeWriteSink {
     cur_gen_ = block.frame_gen;
   }
 
+  static constexpr u32 kPrivateChunkInsns = 1024;
+
   // Open-addressing table: slots_[i] indexes arena_, keys_[i] is the block
   // key. In-place rebuilds repoint the slot at a fresh arena entry; the old
-  // entry (and its insns buffer) stays alive until the next clear, which is
+  // entry (and its instructions) stays alive until the next clear, which is
   // what makes cursor copies safe without reference counting.
   std::vector<u32> slots_ = std::vector<u32>(kTableSize, kEmptySlot);
   std::vector<u64> keys_ = std::vector<u64>(kTableSize, 0);
   std::vector<DecodedBlock> arena_;
   u32 resident_ = 0;  // occupied slots (arena may hold superseded entries)
+
+  const DecodeStore* decode_store_ = nullptr;
+  // Private decodes, in chunks that never move; a block never straddles two.
+  std::vector<std::unique_ptr<isa::Instruction[]>> private_chunks_;
+  u32 private_used_ = kPrivateChunkInsns;  // in private_chunks_.back()
 
   std::vector<u32> frame_gens_;  // write generation per host frame
   std::vector<u8> frame_live_;   // 1 = frame has decodes at its current gen

@@ -2,12 +2,16 @@
 // uncached interpreter, self-modifying-code invalidation through the
 // HostMemory write barrier (a guest store over a cached block must be
 // observed on the very next step), code-load invalidation (the recovery
-// path rewriting UD2 filler), and a harness-level store over a recovered
-// function body under a live view.
+// path rewriting UD2 filler), a harness-level store over a recovered
+// function body under a live view, and the decode store under shared frames
+// (suffix-shared runs; adopted blocks count exactly as private decodes and
+// are rebuilt privately once a write unshares their frame).
 #include <gtest/gtest.h>
 
 #include "harness/harness.hpp"
 #include "isa/assembler.hpp"
+#include "mem/shared_frames.hpp"
+#include "vcpu/decode_store.hpp"
 #include "vcpu/vcpu.hpp"
 
 namespace fc::cpu {
@@ -251,6 +255,91 @@ TEST(BlockCacheRecovery, StoreOverRecoveredFunctionBodyIsObserved) {
   hv::RunOutcome outcome = sys.run_until_exit(pid, 600'000'000);
   EXPECT_NE(outcome, hv::RunOutcome::kGuestFault);
   EXPECT_TRUE(sys.os().task_zombie_or_dead(pid));
+}
+
+// ---------------------------------------------------------------------------
+// Decode store: shared-frame decodes, once per image.
+// ---------------------------------------------------------------------------
+
+TEST(DecodeStore, IndexesEveryStartOnceAndSharesSuffixes) {
+  std::vector<u8> code(kPageSize, 0x00);  // 0x00 does not decode
+  code[0] = code[1] = code[2] = 0x90;     // nop; nop; nop; ret
+  code[3] = 0xC3;
+  mem::SharedFrameStore pages;
+  const u32 page = pages.add_page(code);
+  pages.freeze();
+  cpu::DecodeStore store(pages);
+
+  const auto tail = store.run(page, 2);  // nop; ret
+  ASSERT_EQ(tail.size(), 2u);
+  // A chain that reaches an indexed start takes that start's run as its
+  // tail; the inner start 1 is then served from the index.
+  const auto head = store.run(page, 0);
+  ASSERT_EQ(head.size(), 4u);
+  EXPECT_EQ(head[3].op, isa::Op::kRet);
+  const auto inner = store.run(page, 1);
+  EXPECT_EQ(inner.data(), head.data() + 1);
+  EXPECT_EQ(inner.size(), 3u);
+  EXPECT_EQ(store.run(page, 2).data(), tail.data());
+  EXPECT_TRUE(store.run(page, 4).empty());  // undecodable: nothing indexed
+
+  const cpu::DecodeStore::Stats stats = store.stats();
+  EXPECT_EQ(stats.insns_decoded, 4u);  // 2 + 2: the join copied, not decoded
+  EXPECT_EQ(stats.starts, 4u);         // offsets 0..3, each once
+  EXPECT_EQ(stats.adoptions, 2u);      // run(1) and run(2) again
+  EXPECT_GT(stats.resident_bytes, 0u);
+}
+
+TEST(DecodeStore, AdoptedBlocksCountAsPrivateDecodesAndUnshareOnWrite) {
+  // 200 nops and a ret: the store keeps the whole run, a block takes at
+  // most kMaxBlockInsns of it.
+  std::vector<u8> code(kPageSize, 0x00);
+  std::fill_n(code.begin(), 200, u8{0x90});
+  code[200] = 0xC3;
+  mem::SharedFrameStore pages;
+  const u32 page = pages.add_page(code);
+  pages.freeze();
+  cpu::DecodeStore store(pages);
+  mem::HostMemory host;
+  host.attach_store(&pages);
+  const HostFrame frame = host.adopt_shared(page);
+
+  cpu::BlockCache adopted;
+  adopted.attach_decode_store(&store);
+  cpu::BlockCache decoded;  // no store: the private path
+  host.add_code_write_sink(&adopted);
+  host.add_code_write_sink(&decoded);
+
+  const cpu::BlockCache::Fetched a = adopted.fetch(host, frame, 0, 0);
+  const cpu::BlockCache::Fetched d = decoded.fetch(host, frame, 0, 0);
+  ASSERT_NE(a.insn, nullptr);
+  ASSERT_NE(d.insn, nullptr);
+  EXPECT_EQ(a.insns_decoded, cpu::BlockCache::kMaxBlockInsns);
+  EXPECT_EQ(a.insns_decoded, d.insns_decoded);  // same cost_decode charge
+  EXPECT_EQ(adopted.stats().blocks_built, decoded.stats().blocks_built);
+  EXPECT_EQ(adopted.stats().insns_decoded, decoded.stats().insns_decoded);
+  const std::span<const isa::Instruction> run = store.run(page, 0);
+  ASSERT_EQ(run.size(), 201u);
+  EXPECT_EQ(adopted.peek(frame, 0)->insns.data(), run.data());
+  EXPECT_NE(decoded.peek(frame, 0)->insns.data(), run.data());
+
+  // A divergent write promotes the frame and fires the barrier: the adopted
+  // block goes stale and the rebuild decodes the VM's own bytes privately.
+  adopted.drop_cursor();
+  host.write8(frame, 5, 0xC3);
+  EXPECT_TRUE(host.is_private(frame));
+  EXPECT_EQ(adopted.frame_generation(frame), 1u);
+  EXPECT_EQ(adopted.peek(frame, 0), nullptr);
+  const cpu::BlockCache::Fetched rebuilt = adopted.fetch(host, frame, 0, 0);
+  ASSERT_NE(rebuilt.insn, nullptr);
+  EXPECT_EQ(rebuilt.insns_decoded, 6u);  // five nops and the new ret
+  EXPECT_NE(adopted.peek(frame, 0)->insns.data(), run.data());
+  // The store's run is untouched.
+  EXPECT_EQ(store.run(page, 0).data(), run.data());
+  EXPECT_EQ(run.size(), 201u);
+  EXPECT_EQ(run[5].op, isa::Op::kNop);
+  host.remove_code_write_sink(&adopted);
+  host.remove_code_write_sink(&decoded);
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 // (a clone VM rehydrated from a SharedImage is byte-identical to a VM that
 // assembled everything from scratch), COW/block-cache isolation across VMs
 // (one VM's recovery promotes only its own frames and bumps only its own
-// generations), the FCFL merged-trace container round trip, and the fleet
-// determinism contract (merged report and trace byte-identical at jobs
-// 1/4/8).
+// generations; a write over a block adopted from the image's decode store
+// rebuilds it privately and leaves the store and sibling VMs alone), the
+// decode-store equivalence (shared vs private decodes, jobs 1 vs 4), the
+// FCFL merged-trace container round trip, and the fleet determinism
+// contract (merged report and trace byte-identical at jobs 1/4/8).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include "fleet/fleet.hpp"
 #include "fleet/work_steal.hpp"
 #include "harness/harness.hpp"
+#include "isa/isa.hpp"
 #include "mem/shared_frames.hpp"
 #include "obs/trace.hpp"
 #include "vcpu/vcpu.hpp"
@@ -162,6 +165,27 @@ TEST(SharedImage, CloneRunsAppIdenticallyToFreshBuild) {
 // COW ↔ block cache: cross-VM isolation.
 // ---------------------------------------------------------------------------
 
+bool same_insn(const isa::Instruction& x, const isa::Instruction& y) {
+  return x.op == y.op && x.r1 == y.r1 && x.r2 == y.r2 &&
+         x.length == y.length && x.disp == y.disp && x.imm == y.imm;
+}
+
+bool same_insns(std::span<const isa::Instruction> x,
+                std::span<const isa::Instruction> y) {
+  return std::equal(x.begin(), x.end(), y.begin(), y.end(), same_insn);
+}
+
+/// `insns` is what decoding `page` from `offset` on yields.
+bool decodes_bytes(std::span<const isa::Instruction> insns,
+                   std::span<const u8> page, u32 offset) {
+  for (const isa::Instruction& insn : insns) {
+    const isa::DecodeResult dec = isa::decode(page.subspan(offset));
+    if (!dec.ok() || !same_insn(dec.insn, insn)) return false;
+    offset += dec.insn.length;
+  }
+  return true;
+}
+
 TEST(CowBlockCache, RecoveryInOneVmDoesNotTouchAnotherVmsFramesOrBlocks) {
   const core::SharedImage& image = test_image();
 
@@ -217,20 +241,90 @@ TEST(CowBlockCache, RecoveryInOneVmDoesNotTouchAnotherVmsFramesOrBlocks) {
   EXPECT_GT(ah.cow_promotions(), 0u);
 
   // Every frame A promoted that B still shares: untouched in B — same
-  // bytes as the store page, same (zero) block-cache generation delta.
+  // bytes as the store page, same (zero) block-cache generation delta. Where
+  // A's generation moved, A had adopted store decodes on the frame before
+  // the recovery write; whatever A has rebuilt there since is private and
+  // decodes A's own bytes.
+  const cpu::DecodeStore& store = *image.decode;
+  const cpu::BlockCache& a_cache = a.sys->vcpu().block_cache();
+  const cpu::BlockCache& b_cache = b.sys->vcpu().block_cache();
   u32 checked = 0;
+  u32 rebuilt = 0;
   for (HostFrame f = 0; f < frames; ++f) {
     if (!ah.is_private(f) || b_shared[f] == 0) continue;
     ASSERT_TRUE(bh.is_shared(f)) << "frame " << f << " unshared in B";
-    EXPECT_EQ(b.sys->vcpu().block_cache().frame_generation(f), b_gen[f])
+    EXPECT_EQ(b_cache.frame_generation(f), b_gen[f])
         << "A's recovery bumped B's generation for frame " << f;
     EXPECT_EQ(std::memcmp(bh.frame(f).data(),
                           image.store.page_data(bh.shared_backing(f)),
                           kPageSize),
               0);
     ++checked;
+    if (a_cache.frame_generation(f) == 0) continue;
+    for (u32 off = 0; off < kPageSize; ++off) {
+      const cpu::DecodedBlock* block = a_cache.peek(f, off);
+      if (block == nullptr) continue;
+      EXPECT_NE(block->insns.data(),
+                store.run(bh.shared_backing(f), off).data());
+      EXPECT_TRUE(decodes_bytes(block->insns, ah.frame(f), off))
+          << "frame " << f << " offset " << off;
+      ++rebuilt;
+    }
   }
   EXPECT_GT(checked, 0u);  // the scenario really exercised shared frames
+  EXPECT_GT(rebuilt, 0u);  // ...and A re-ran code it had recovered
+
+  // An SMC store in A over a block both VMs adopted from the store (kernel
+  // text on the pristine boot frames, which every VM runs at boot): A
+  // rebuilds privately, the store's run and B's block stay as they were.
+  const os::KernelImage& kernel = a.sys->os().kernel();
+  HostFrame smc_frame = 0;
+  u32 smc_offset = kPageSize;
+  for (GVirt va = kernel.text_base;
+       va < kernel.text_end() && smc_offset == kPageSize; va += kPageSize) {
+    const HostFrame f = a.sys->hv().machine().boot_frame_for(
+        mem::GuestLayout::kernel_pa(page_base(va)));
+    if (!ah.is_shared(f) || !bh.is_shared(f)) continue;
+    for (u32 off = 0; off < kPageSize; ++off) {
+      const cpu::DecodedBlock* ablock = a_cache.peek(f, off);
+      const cpu::DecodedBlock* bblock = b_cache.peek(f, off);
+      if (ablock != nullptr && bblock != nullptr &&
+          ablock->insns.data() == bblock->insns.data()) {
+        smc_frame = f;
+        smc_offset = off;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(smc_offset, kPageSize) << "no block adopted by both VMs";
+  const u32 page = bh.shared_backing(smc_frame);
+  const std::span<const isa::Instruction> run = store.run(page, smc_offset);
+  const cpu::DecodedBlock* b_block = b_cache.peek(smc_frame, smc_offset);
+  ASSERT_EQ(b_block->insns.data(), run.data());
+  const std::vector<isa::Instruction> b_insns(b_block->insns.begin(),
+                                              b_block->insns.end());
+  const u32 b_gen_before = b_cache.frame_generation(smc_frame);
+
+  mem::HostMemory& a_host = a.sys->hv().machine().host();
+  const u8 smc_byte = run[0].op == isa::Op::kNop ? 0xC3 : 0x90;
+  a_host.write8(smc_frame, smc_offset, smc_byte);
+  EXPECT_TRUE(a_host.is_private(smc_frame));
+  EXPECT_EQ(a_cache.peek(smc_frame, smc_offset), nullptr);
+  const cpu::BlockCache::Fetched refetched =
+      a.sys->vcpu().block_cache().fetch(a_host, smc_frame, smc_offset, 0);
+  ASSERT_NE(refetched.insn, nullptr);
+  EXPECT_EQ(refetched.insn->op,
+            smc_byte == 0x90 ? isa::Op::kNop : isa::Op::kRet);
+  EXPECT_NE(a_cache.peek(smc_frame, smc_offset)->insns.data(), run.data());
+
+  EXPECT_TRUE(bh.is_shared(smc_frame));
+  EXPECT_EQ(b_cache.frame_generation(smc_frame), b_gen_before);
+  b_block = b_cache.peek(smc_frame, smc_offset);
+  ASSERT_NE(b_block, nullptr);
+  EXPECT_EQ(b_block->insns.data(), run.data());
+  EXPECT_TRUE(same_insns(b_block->insns, b_insns));
+  EXPECT_EQ(store.run(page, smc_offset).data(), run.data());
+  EXPECT_TRUE(decodes_bytes(run, bh.frame(smc_frame), smc_offset));
 
   // B finishes exactly as the control VM that never shared time with A.
   ASSERT_NE(b.sys->run_until_exit(b.pid, 300'000'000ull),
@@ -241,6 +335,81 @@ TEST(CowBlockCache, RecoveryInOneVmDoesNotTouchAnotherVmsFramesOrBlocks) {
             control.sys->vcpu().instructions_retired());
   EXPECT_EQ(b.engine->recovery_stats().recoveries,
             control.engine->recovery_stats().recoveries);
+}
+
+// ---------------------------------------------------------------------------
+// Decode store: shared decodes change no VM's run.
+// ---------------------------------------------------------------------------
+
+/// Every block_cache.* and trace_cache.* entry of a VM's metrics JSON.
+std::string cache_stats(const std::string& metrics_json) {
+  std::string out;
+  for (const char* prefix : {"\"block_cache.", "\"trace_cache."}) {
+    for (std::size_t at = metrics_json.find(prefix); at != std::string::npos;
+         at = metrics_json.find(prefix, at + 1)) {
+      const std::size_t end = metrics_json.find_first_of(",}", at);
+      out += metrics_json.substr(at, end - at) + ",";
+    }
+  }
+  return out;
+}
+
+TEST(FleetDecodeStore, SharedAndPrivateDecodesRunEveryVmIdentically) {
+  // All 12 Table I views, so each app runs in its own view over shadow
+  // pages that sibling VMs share. One-iteration profiles leave gaps that
+  // three-iteration runs fall into: the recoveries execute UD2 filler out of
+  // shared shadow pages and rewrite them.
+  static const std::unique_ptr<core::SharedImage> image = [] {
+    harness::SharedImageOptions options;
+    options.profile_iterations = 1;
+    return harness::build_shared_image(options);
+  }();
+  ASSERT_EQ(image->views.size(), 12u);
+
+  auto run = [&](bool share_image, u32 jobs) {
+    FleetOptions options;
+    options.vms = 24;  // 12 apps x 2
+    options.jobs = jobs;
+    options.iterations = 3;
+    options.share_image = share_image;
+    return FleetRunner(*image, options).run();
+  };
+  // share_image=false boots every VM from scratch: no store, every block
+  // decoded privately.
+  const FleetReport reference = run(false, 1);
+  EXPECT_EQ(reference.decode_store.insns_decoded, 0u);
+  EXPECT_EQ(reference.decode_store.adoptions, 0u);
+  u64 recoveries = 0;
+  for (const VmResult& vm : reference.vms) recoveries += vm.recoveries;
+  EXPECT_GT(recoveries, 0u);
+
+  // The first shared arm meets a cold store with 8 workers decoding it at
+  // once (the ThreadSanitizer tier runs this suite).
+  const std::pair<bool, u32> arms[] = {
+      {false, 4}, {true, 8}, {true, 1}, {true, 4}};
+  for (const auto& [share_image, jobs] : arms) {
+    SCOPED_TRACE(testing::Message() << "share_image=" << share_image
+                                    << " jobs=" << jobs);
+    const FleetReport report = run(share_image, jobs);
+    ASSERT_EQ(report.vms.size(), reference.vms.size());
+    for (u32 i = 0; i < report.vms.size(); ++i) {
+      const VmResult& vm = report.vms[i];
+      const VmResult& want = reference.vms[i];
+      EXPECT_FALSE(vm.fault) << "vm " << i;
+      EXPECT_EQ(vm.app, want.app) << "vm " << i;
+      EXPECT_EQ(vm.instructions, want.instructions) << "vm " << i;
+      EXPECT_EQ(vm.cycles, want.cycles) << "vm " << i;
+      EXPECT_EQ(cache_stats(vm.metrics_json), cache_stats(want.metrics_json))
+          << "vm " << i;
+    }
+    if (share_image) {
+      EXPECT_GT(report.decode_store.adoptions, 0u);
+    }
+  }
+  EXPECT_NE(cache_stats(reference.vms[0].metrics_json).find(
+                "\"block_cache.insns_decoded\""),
+            std::string::npos);
+  EXPECT_GT(image->decode->stats().starts, 0u);
 }
 
 // ---------------------------------------------------------------------------

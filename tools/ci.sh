@@ -3,9 +3,12 @@
 #
 #   tools/ci.sh             tier 1: configure, build, run the full test suite
 #   tools/ci.sh sanitize    sanitizer tier: same suite under ASan + UBSan
-#   tools/ci.sh tsan        ThreadSanitizer tier: the fleet determinism and
-#                           COW isolation tests under -fsanitize=thread
-#                           (workers share only refcounts + the result sink)
+#   tools/ci.sh tsan        ThreadSanitizer tier: the fleet determinism,
+#                           COW isolation and decode-store tests under
+#                           -fsanitize=thread (workers share the store
+#                           refcounts, the image's decode store — decoded
+#                           cold by 8 workers at once — and the scheduler
+#                           deques)
 #   tools/ci.sh bench-smoke interpreter-throughput + fleet-scaling smoke
 #                           runs under ASan (exercises the uncached, block
 #                           and trace tiers and the COW fleet end to end;
@@ -111,8 +114,9 @@ tsan() {
   cmake -B build-tsan -S . -DFC_SANITIZE=thread -DFC_WERROR=ON
   cmake --build build-tsan -j "$jobs" --target fleet_test
   # The fleet suite is the only multi-threaded surface: run it (determinism
-  # at jobs 1/4/8, COW promotion isolation, shared-image rehydration) with
-  # TSan watching the shared-store refcounts and the result sink.
+  # at jobs 1/4/8, COW promotion isolation, shared-image rehydration, the
+  # decode store filled by 8 workers at once) with TSan watching the
+  # shared-store refcounts, the decode store's shards and the scheduler.
   ./build-tsan/tests/fleet_test
   # Trace-tier suite under TSan too: the dispatcher is per-vCPU, but fleet
   # workers each own one and share read-only code frames, so the tier's
