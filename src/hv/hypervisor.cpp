@@ -74,8 +74,9 @@ RunOutcome Hypervisor::run(const std::function<bool()>& stop) {
   }
 }
 
-std::optional<RunOutcome> Hypervisor::step_one(cpu::Exit* exit_seen) {
-  cpu::Exit exit = vcpu_.run(1);
+std::optional<RunOutcome> Hypervisor::run_chunk(u64 max_instructions,
+                                                cpu::Exit* exit_seen) {
+  cpu::Exit exit = vcpu_.run(max_instructions);
   if (exit_seen != nullptr) *exit_seen = exit;
   return handle_exit(exit);
 }

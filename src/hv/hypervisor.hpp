@@ -64,13 +64,16 @@ class Hypervisor {
   /// Convenience: run for a given number of additional simulated cycles.
   RunOutcome run_for(Cycles cycles);
 
-  /// Retire exactly one instruction (or one pending-IRQ delivery), routing
-  /// any VM exit through the same handler logic as run(). Returns the run
-  /// outcome if the run would have ended on this step, nullopt otherwise;
-  /// `exit_seen` (optional) receives the raw vCPU exit for this step.
-  /// This is the lockstep-comparison entry point: two hypervisors stepped
-  /// with it traverse identical guest states.
-  std::optional<RunOutcome> step_one(cpu::Exit* exit_seen = nullptr);
+  /// One vCPU run of up to `max_instructions` (fewer if it exits first;
+  /// 1 = exactly one instruction or one pending-IRQ delivery), routing any
+  /// VM exit through the same handler logic as run(). Returns the run
+  /// outcome if the run would have ended here, nullopt otherwise;
+  /// `exit_seen` (optional) receives the raw vCPU exit. This is the
+  /// lockstep-comparison entry point: two hypervisors driven with the same
+  /// chunk lengths traverse identical guest states, and chunks longer than
+  /// one let every execution tier batch the way it does under run().
+  std::optional<RunOutcome> run_chunk(u64 max_instructions,
+                                      cpu::Exit* exit_seen = nullptr);
 
   // --- pristine kernel code access --------------------------------------
   // Reads bytes from the frames that backed kernel memory at boot — i.e.
@@ -81,7 +84,7 @@ class Hypervisor {
   GVirt last_fault_pc() const { return last_fault_pc_; }
 
  private:
-  /// Shared exit dispatch for run() and step_one(): returns the outcome if
+  /// Shared exit dispatch for run() and run_chunk(): returns the outcome if
   /// the exit ends the run, nullopt to keep executing.
   std::optional<RunOutcome> handle_exit(const cpu::Exit& exit);
 

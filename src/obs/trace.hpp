@@ -184,7 +184,7 @@ u32 name_hash(const char* s);
 // Capture flag, read inline by the emit macro. Thread-local like the
 // recorder it gates: capture on one fleet worker doesn't enable emission
 // (or data races) on the others.
-extern thread_local bool g_trace_enabled;
+extern constinit thread_local bool g_trace_enabled;
 inline bool trace_enabled() { return g_trace_enabled; }
 
 }  // namespace fc::obs

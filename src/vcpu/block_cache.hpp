@@ -140,6 +140,25 @@ class BlockCache final : public mem::CodeWriteSink {
     return &cur_insns_[cur_idx_];
   }
 
+  /// The instruction cursor_insn just served and every later one in its
+  /// block: the straight-line run the vCPU may retire as one batch.
+  std::span<const isa::Instruction> cursor_rest() const {
+    return {cur_insns_ + cur_idx_, cur_count_ - cur_idx_};
+  }
+
+  /// The vCPU retired `n` (>= 1) instructions of cursor_rest() — the first
+  /// already counted by cursor_insn — falling through to `next_va`: exactly
+  /// the hits and cursor position of n advance() calls.
+  void advance_run(u32 n, GVirt next_va) {
+    stats_.insn_hits += n - 1;
+    if (cur_idx_ + n < cur_count_) {
+      cur_idx_ += n;
+      cur_va_ = next_va;
+    } else {
+      cur_insns_ = nullptr;  // ran off the end of the block
+    }
+  }
+
   void drop_cursor() { cur_insns_ = nullptr; }
 
   /// Engine notification at a view switch. Host-frame keying makes EPT

@@ -17,39 +17,20 @@ constexpr u64 trace_key(HostFrame frame, u32 offset) {
 /// ALU ops whose fused execution is exact: register-only, no memory access,
 /// no fault path, and the only flag effect is the ZF the adjacent Jcc
 /// consumes (the flags-dead proof in DESIGN.md — no op between the pair can
-/// observe an intermediate flags state because there is none).
+/// observe an intermediate flags state because there is none). That is every
+/// simple micro-op from kAddRR on: the ZF-writing ALU ops.
 bool fusable_alu(const isa::Instruction& insn) {
-  switch (insn.op) {
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kXor:
-    case Op::kCmp:
-    case Op::kCmpImmA:
-    case Op::kAddImmA:
-    case Op::kSubImmA:
-      return true;
-    case Op::kOr:
-      return insn.disp == 0;  // memory form reads through the MMU
-    default:
-      return false;
-  }
+  const UOp kind = simple_uop(insn);
+  return kind >= UOp::kAddRR && kind <= UOp::kCmpImm;
 }
 
-/// Classify for the dispatcher (see OpKind). kCli/kSti are deliberately
-/// kSlow — unmasking interrupts can make a pending IRQ due at the very next
-/// boundary, which only the full guard notices.
+/// Classify for the dispatcher (see OpKind): the simple ops, direct
+/// branches and RDTSC. kCli/kSti are deliberately kSlow — unmasking
+/// interrupts can make a pending IRQ due at the very next boundary, which
+/// only the full guard notices.
 OpKind classify_op(const isa::Instruction& insn) {
+  if (simple_uop(insn) != UOp::kSlow) return OpKind::kPure;
   switch (insn.op) {
-    case Op::kNop:
-    case Op::kMovRR:
-    case Op::kMovImm:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kXor:
-    case Op::kCmp:
-    case Op::kCmpImmA:
-    case Op::kAddImmA:
-    case Op::kSubImmA:
     case Op::kJmp:
     case Op::kJmpShort:
     case Op::kJz:
@@ -58,9 +39,6 @@ OpKind classify_op(const isa::Instruction& insn) {
     case Op::kJnzNear:
     case Op::kRdtsc:
       return OpKind::kPure;
-    case Op::kOr:
-      // The memory form reads through the MMU; the register form is pure.
-      return insn.disp == 0 ? OpKind::kPure : OpKind::kSlow;
     default:
       return OpKind::kSlow;
   }
@@ -74,29 +52,6 @@ u16 target_index(GVirt target, const Trace& tr, std::size_t j) {
     return static_cast<u16>(j + 1);
   if (target == tr.entry_va) return 0;
   return kNoTarget;
-}
-
-FusedAlu fused_alu_kind(Op op) {
-  switch (op) {
-    case Op::kAdd:
-      return FusedAlu::kAddRR;
-    case Op::kSub:
-      return FusedAlu::kSubRR;
-    case Op::kXor:
-      return FusedAlu::kXorRR;
-    case Op::kOr:
-      return FusedAlu::kOrRR;
-    case Op::kCmp:
-      return FusedAlu::kCmpRR;
-    case Op::kAddImmA:
-      return FusedAlu::kAddImm;
-    case Op::kSubImmA:
-      return FusedAlu::kSubImm;
-    case Op::kCmpImmA:
-      return FusedAlu::kCmpImm;
-    default:
-      FC_UNREACHABLE(<< "non-fusable ALU in fused op");
-  }
 }
 
 /// Lower the finished op list into the flat micro-op array the dispatcher
@@ -116,20 +71,10 @@ void lower(Trace& tr) {
       u.kind = UOp::kFused;
       const bool want_zf =
           op.jcc.op == Op::kJz || op.jcc.op == Op::kJzNear;
-      u.aux = static_cast<u8>(fused_alu_kind(insn.op)) |
-              (want_zf ? 0x80 : 0);
+      u.aux = static_cast<u8>(simple_uop(insn)) | (want_zf ? 0x80 : 0);
       u.r1 = static_cast<u8>(insn.r1);
       u.r2 = static_cast<u8>(insn.r2);
       u.imm = insn.imm;
-      switch (insn.op) {  // imm forms implicitly target A
-        case Op::kAddImmA:
-        case Op::kSubImmA:
-        case Op::kCmpImmA:
-          u.r1 = static_cast<u8>(isa::Reg::A);
-          break;
-        default:
-          break;
-      }
       u.jcc_va = op.jcc_va;
       u.taken_va = op.taken_va;
       u.fall_va = op.fall_va;
@@ -140,42 +85,6 @@ void lower(Trace& tr) {
       u.r2 = static_cast<u8>(insn.r2);
       u.imm = insn.imm;
       switch (insn.op) {
-        case Op::kNop:
-          u.kind = UOp::kNop;
-          break;
-        case Op::kMovRR:
-          u.kind = UOp::kMovRR;
-          break;
-        case Op::kMovImm:
-          u.kind = UOp::kMovImm;
-          break;
-        case Op::kAdd:
-          u.kind = UOp::kAddRR;
-          break;
-        case Op::kSub:
-          u.kind = UOp::kSubRR;
-          break;
-        case Op::kXor:
-          u.kind = UOp::kXorRR;
-          break;
-        case Op::kOr:  // register form; classify_op rejects disp != 0
-          u.kind = UOp::kOrRR;
-          break;
-        case Op::kCmp:
-          u.kind = UOp::kCmpRR;
-          break;
-        case Op::kAddImmA:
-          u.kind = UOp::kAddImm;
-          u.r1 = static_cast<u8>(isa::Reg::A);
-          break;
-        case Op::kSubImmA:
-          u.kind = UOp::kSubImm;
-          u.r1 = static_cast<u8>(isa::Reg::A);
-          break;
-        case Op::kCmpImmA:
-          u.kind = UOp::kCmpImm;
-          u.r1 = static_cast<u8>(isa::Reg::A);
-          break;
         case Op::kRdtsc:
           u.kind = UOp::kRdtsc;
           break;
@@ -205,7 +114,10 @@ void lower(Trace& tr) {
           u.fall_idx = target_index(u.fall_va, tr, j);
           break;
         default:
-          FC_UNREACHABLE(<< "unloweable pure op");
+          // classify_op admits nothing else: a register-only simple op.
+          u.kind = simple_uop(insn);
+          FC_CHECK(u.kind != UOp::kSlow, << "unloweable pure op");
+          break;
       }
     } else {
       u.r1 = static_cast<u8>(insn.r1);

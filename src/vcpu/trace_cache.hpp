@@ -102,7 +102,8 @@ enum class UOp : u8 {
             // reading cycles is what keeps it out of the simple batch)
   kJmp,     // unconditional: taken_idx / taken_va
   kJcc,     // conditional on ZF == (aux != 0): taken_* / fall_*
-  kFused,   // ALU+Jcc pair: aux low bits = FusedAlu, bit 7 = want-ZF
+  kFused,   // ALU+Jcc pair: aux low bits = the ALU half's simple UOp,
+            // bit 7 = want-ZF
   // Data-memory micro-ops: the same MMU calls in the same order as
   // exec_insn, including partial effects on the fault path. They cannot
   // raise an IRQ or move a breakpoint, so fast mode survives them; the
@@ -121,18 +122,41 @@ enum class UOp : u8 {
   kSlow,    // materialise pc, exec_insn(ops[slow_index].insn), full guard
 };
 
-/// ALU variant of a fused pair (aux & 0x7F). Imm forms carry the register
-/// (always A today) in r1 so the handler is uniform.
-enum class FusedAlu : u8 {
-  kAddRR,
-  kSubRR,
-  kXorRR,
-  kOrRR,
-  kCmpRR,
-  kAddImm,
-  kSubImm,
-  kCmpImm,
-};
+/// The simple micro-op an instruction executes as, or kSlow when it is not
+/// register-only: the one register-only classification every tier uses
+/// (exec_insn, the block tier's straight-line batch, trace lowering and
+/// fusion). The imm forms act on A, which decode leaves in `insn.r1`
+/// (Instruction's default), so callers pass the operands straight through.
+constexpr UOp simple_uop(const isa::Instruction& insn) {
+  switch (insn.op) {
+    case isa::Op::kNop:
+      return UOp::kNop;
+    case isa::Op::kMovRR:
+      return UOp::kMovRR;
+    case isa::Op::kMovImm:
+      return UOp::kMovImm;
+    case isa::Op::kAdd:
+      return UOp::kAddRR;
+    case isa::Op::kSub:
+      return UOp::kSubRR;
+    case isa::Op::kXor:
+      return UOp::kXorRR;
+    case isa::Op::kOr:
+      // The 0B 0F memory form (the paper's misaligned-return hazard) reads
+      // memory; only the register form is simple.
+      return insn.disp == 0 ? UOp::kOrRR : UOp::kSlow;
+    case isa::Op::kCmp:
+      return UOp::kCmpRR;
+    case isa::Op::kAddImmA:
+      return UOp::kAddImm;
+    case isa::Op::kSubImmA:
+      return UOp::kSubImm;
+    case isa::Op::kCmpImmA:
+      return UOp::kCmpImm;
+    default:
+      return UOp::kSlow;
+  }
+}
 
 constexpr u16 kNoTarget = 0xFFFF;  // branch target leaves the trace
 
@@ -140,7 +164,7 @@ struct MicroOp {
   UOp kind = UOp::kSlow;
   u8 r1 = 0;            // destination gpr index
   u8 r2 = 0;            // source gpr index
-  u8 aux = 0;           // kJcc: want-ZF; kFused: FusedAlu | want-ZF << 7
+  u8 aux = 0;           // kJcc: want-ZF; kFused: ALU UOp | want-ZF << 7
   u32 imm = 0;          // immediate operand
   GVirt va = 0;         // architectural address (guard + lazy-pc exits)
   GVirt jcc_va = 0;     // kFused: address of the branch half
@@ -173,6 +197,11 @@ struct Trace {
   // tlb_version 0 forces establish mode on the first dispatch.
   u64 tlb_version = 0;
   u64 ept_gen = 0;
+  // Whether an exec breakpoint sits on any op (or a fused pair's branch
+  // half), cached for the vCPU's breakpoint epoch `bp_epoch`; epoch 0 is
+  // never current, so a fresh trace computes it on first use.
+  u64 bp_epoch = 0;
+  bool bp_inside = false;
 };
 
 class TraceCache final : public mem::CodeWriteSink {

@@ -12,16 +12,30 @@ using isa::Reg;
 
 void Vcpu::add_breakpoint(GVirt pc) {
   if (!has_breakpoint(pc)) breakpoints_.push_back(pc);
+  ++bp_epoch_;
 }
 
 void Vcpu::remove_breakpoint(GVirt pc) {
   breakpoints_.erase(std::remove(breakpoints_.begin(), breakpoints_.end(), pc),
                      breakpoints_.end());
+  ++bp_epoch_;
 }
 
 bool Vcpu::has_breakpoint(GVirt pc) const {
   return std::find(breakpoints_.begin(), breakpoints_.end(), pc) !=
          breakpoints_.end();
+}
+
+bool Vcpu::breakpoint_in(Trace& tr) {
+  if (tr.bp_epoch != bp_epoch_) {
+    tr.bp_epoch = bp_epoch_;
+    tr.bp_inside = std::any_of(
+        tr.uops.begin(), tr.uops.end(), [this](const MicroOp& u) {
+          return has_breakpoint(u.va) ||
+                 (u.kind == UOp::kFused && has_breakpoint(u.jcc_va));
+        });
+  }
+  return tr.bp_inside;
 }
 
 void Vcpu::take_sample(GVirt pc, u8 tier) {
@@ -219,24 +233,17 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
   };
 
   try {
-  switch (insn.op) {
-    case Op::kNop:
-      regs_.pc = next;
-      break;
+  if (const UOp simple = simple_uop(insn); simple != UOp::kSlow) {
+    exec_simple(simple, static_cast<u8>(insn.r1), static_cast<u8>(insn.r2),
+                insn.imm, regs_);
+    regs_.pc = next;
+  } else switch (insn.op) {
     case Op::kPush:
       push32(regs_[insn.r1]);
       regs_.pc = next;
       break;
     case Op::kPop:
       regs_[insn.r1] = pop32();
-      regs_.pc = next;
-      break;
-    case Op::kMovRR:
-      regs_[insn.r1] = regs_[insn.r2];
-      regs_.pc = next;
-      break;
-    case Op::kMovImm:
-      regs_[insn.r1] = insn.imm;
       regs_.pc = next;
       break;
     case Op::kLoad:
@@ -255,57 +262,22 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
       write32(insn.imm, regs_[Reg::A]);
       regs_.pc = next;
       break;
-    case Op::kAdd:
-      regs_[insn.r1] += regs_[insn.r2];
+    case Op::kOr: {
+      // Memory form (the register form is simple): the misinterpreted 0B 0F
+      // pair lands here. Read through the MMU if mapped, else "read"
+      // garbage — either way the guest keeps running wrongly instead of
+      // trapping, which is the exact hazard instant recovery exists to
+      // prevent.
+      u32 addr = regs_[insn.r2];
+      auto frame = mmu.translate_page(page_base(addr));
+      u32 value = frame.has_value() && page_offset(addr) + 4 <= kPageSize
+                      ? machine_->host().read32(*frame, page_offset(addr))
+                      : 0xFFFFFFFFu;
+      regs_[insn.r1] |= value;
       set_zf(regs_[insn.r1]);
       regs_.pc = next;
       break;
-    case Op::kSub:
-      regs_[insn.r1] -= regs_[insn.r2];
-      set_zf(regs_[insn.r1]);
-      regs_.pc = next;
-      break;
-    case Op::kXor:
-      regs_[insn.r1] ^= regs_[insn.r2];
-      set_zf(regs_[insn.r1]);
-      regs_.pc = next;
-      break;
-    case Op::kOr:
-      if (insn.disp != 0) {
-        // Memory form (the misinterpreted 0B 0F pair lands here): read
-        // through the MMU if mapped, else "read" garbage — either way the
-        // guest keeps running wrongly instead of trapping, which is the
-        // exact hazard instant recovery exists to prevent.
-        u32 addr = regs_[insn.r2];
-        auto frame = mmu.translate_page(page_base(addr));
-        u32 value = frame.has_value() && page_offset(addr) + 4 <= kPageSize
-                        ? machine_->host().read32(*frame, page_offset(addr))
-                        : 0xFFFFFFFFu;
-        regs_[insn.r1] |= value;
-      } else {
-        regs_[insn.r1] |= regs_[insn.r2];
-      }
-      set_zf(regs_[insn.r1]);
-      regs_.pc = next;
-      break;
-    case Op::kCmp:
-      set_zf(regs_[insn.r1] - regs_[insn.r2]);
-      regs_.pc = next;
-      break;
-    case Op::kCmpImmA:
-      set_zf(regs_[Reg::A] - insn.imm);
-      regs_.pc = next;
-      break;
-    case Op::kAddImmA:
-      regs_[Reg::A] += insn.imm;
-      set_zf(regs_[Reg::A]);
-      regs_.pc = next;
-      break;
-    case Op::kSubImmA:
-      regs_[Reg::A] -= insn.imm;
-      set_zf(regs_[Reg::A]);
-      regs_.pc = next;
-      break;
+    }
     case Op::kCall:
       push32(next);
       end_block(next);
@@ -419,8 +391,8 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
       regs_[Reg::D] = static_cast<u32>(cycles_ >> 32);
       regs_.pc = next;
       break;
-    case Op::kUd2:
-      FC_UNREACHABLE(<< "UD2 handled above");
+    default:
+      FC_UNREACHABLE(<< "UD2 and the simple ops are handled above");
   }
   } catch (const GuestDataFault&) {
     end_block(pc);
@@ -464,10 +436,65 @@ Exit Vcpu::run_cached_tail(u64 budget_end) {
     if (kPageSize - page_offset(pc) < isa::kMaxInstructionLength) break;
     const isa::Instruction* insn = block_cache_.cursor_insn(pc);
     if (insn == nullptr) break;
+    if (simple_uop(*insn) != UOp::kSlow) {
+      run_simple_batch(budget_end);
+      continue;
+    }
     Exit exit = exec_insn(*insn, mmu.stats().tlb_misses);
     if (exit.reason != ExitReason::kNone) return exit;
   }
   return {ExitReason::kNone, regs_.pc};
+}
+
+void Vcpu::run_simple_batch(u64 budget_end) {
+  // Count clamps. Simple ops retire one instruction for cost_default each
+  // and touch nothing but registers and ZF, so of the loop-top checks only
+  // the budget and the deferred-IRQ release can change across the run, and
+  // both are known in advance — as is the op after which exec_insn would
+  // sample. Each clamp is the op count at which per-op execution stops
+  // (the loop top already held for the first op, so each is >= 1); a zero
+  // cost_default is clamped as if it were 1, which only stops earlier.
+  const Cycles cd = perf_.cost_default != 0 ? perf_.cost_default : 1;
+  u64 limit = budget_end - instructions_;
+  if (deferred_irqs_ != 0)
+    limit = std::min(limit, (irq_release_at_ - cycles_ - 1) / cd + 1);
+  limit = std::min(limit, sample_at_ > cycles_
+                              ? (sample_at_ - cycles_ - 1) / cd + 1
+                              : u64{1});
+  // Address clamp: the first op at or past `stop_va` stays for the next
+  // loop pass — the page-tail region (where the slow path probes the next
+  // page) and any breakpoint or armed suppress-once later in the page. The
+  // loop top already cleared all three for the first op, so start lies
+  // below stop_va.
+  const GVirt start = regs_.pc;
+  GVirt stop_va =
+      page_base(start) + kPageSize - (isa::kMaxInstructionLength - 1);
+  for (GVirt bp : breakpoints_)
+    if (bp > start && bp < stop_va) stop_va = bp;
+  if (suppress_bp_at_ > start && suppress_bp_at_ < stop_va)
+    stop_va = suppress_bp_at_;
+
+  GVirt va = start;
+  GVirt last = start;
+  u64 n = 0;
+  for (const isa::Instruction& insn : block_cache_.cursor_rest()) {
+    const UOp kind = simple_uop(insn);
+    if (kind == UOp::kSlow || n == limit || va >= stop_va) break;
+    exec_simple(kind, static_cast<u8>(insn.r1), static_cast<u8>(insn.r2),
+                insn.imm, regs_);
+    last = va;
+    va += insn.length;
+    ++n;
+  }
+  if (!in_block_) {
+    in_block_ = true;
+    block_start_ = start;
+  }
+  instructions_ += n;
+  cycles_ += n * perf_.cost_default;
+  regs_.pc = va;
+  block_cache_.advance_run(static_cast<u32>(n), va);
+  if (cycles_ >= sample_at_) take_sample(last, kTierBlock);
 }
 
 Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
@@ -546,8 +573,9 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
     std::size_t i = 0;
     // While `fast` holds and cycles_ stays below `fast_until`, every guard
     // except the budget compare is provably quiescent: the last full pass saw
-    // no deliverable IRQ, no breakpoints and no armed suppress-once, and every
-    // op executed since was pure (register-only — cannot fill the TLB, write
+    // no deliverable IRQ, no breakpoint on any op of this trace (at the
+    // current breakpoint epoch) and no armed suppress-once, and every op
+    // executed since was pure (register-only — cannot fill the TLB, write
     // code bytes, call the environment, or raise/unmask an IRQ). The only
     // guard input pure ops do advance is cycles_, which matters exactly when a
     // deferred IRQ's release time is crossed — hence the cycle bound instead
@@ -602,8 +630,11 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
           return {ExitReason::kNone, regs_.pc};
         }
         // Pending-but-masked IRQs stay undeliverable across pure ops; a
-        // deferred IRQ is handled by the cycle bound.
-        fast = breakpoints_.empty() && suppress_bp_at_ == 0xFFFFFFFFu &&
+        // deferred IRQ is handled by the cycle bound. Armed breakpoints
+        // only matter if one sits on an op of this trace: nothing that runs
+        // in fast mode can arm one.
+        fast = (breakpoints_.empty() || !breakpoint_in(*tr)) &&
+               suppress_bp_at_ == 0xFFFFFFFFu &&
                !(pending_irqs_ != 0 && regs_.interrupts_enabled);
         fast_until =
             deferred_irqs_ != 0 ? irq_release_at_ : ~static_cast<u64>(0);
@@ -633,42 +664,7 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
         const std::size_t stop = i + static_cast<std::size_t>(len);
         for (std::size_t e = i; e < stop; ++e) {
           const MicroOp& v = uops[e];
-          switch (v.kind) {
-            case UOp::kNop:
-              break;
-            case UOp::kMovRR:
-              regs_.gpr[v.r1] = regs_.gpr[v.r2];
-              break;
-            case UOp::kMovImm:
-              regs_.gpr[v.r1] = v.imm;
-              break;
-            case UOp::kAddRR:
-              regs_.zf = (regs_.gpr[v.r1] += regs_.gpr[v.r2]) == 0;
-              break;
-            case UOp::kSubRR:
-              regs_.zf = (regs_.gpr[v.r1] -= regs_.gpr[v.r2]) == 0;
-              break;
-            case UOp::kXorRR:
-              regs_.zf = (regs_.gpr[v.r1] ^= regs_.gpr[v.r2]) == 0;
-              break;
-            case UOp::kOrRR:
-              regs_.zf = (regs_.gpr[v.r1] |= regs_.gpr[v.r2]) == 0;
-              break;
-            case UOp::kCmpRR:
-              regs_.zf = (regs_.gpr[v.r1] - regs_.gpr[v.r2]) == 0;
-              break;
-            case UOp::kAddImm:
-              regs_.zf = (regs_.gpr[v.r1] += v.imm) == 0;
-              break;
-            case UOp::kSubImm:
-              regs_.zf = (regs_.gpr[v.r1] -= v.imm) == 0;
-              break;
-            case UOp::kCmpImm:
-              regs_.zf = (regs_.gpr[v.r1] - v.imm) == 0;
-              break;
-            default:
-              FC_UNREACHABLE(<< "non-simple micro-op inside a segment");
-          }
+          exec_simple(v.kind, v.r1, v.r2, v.imm, regs_);
         }
         instructions_ += len;
         cycles_ += len * perf_.cost_default;
@@ -693,36 +689,17 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
       u32 mem_cost;  // mem micro-ops: cost (default / call / ret)
       switch (u.kind) {
         case UOp::kNop:
-          break;
         case UOp::kMovRR:
-          regs_.gpr[u.r1] = regs_.gpr[u.r2];
-          break;
         case UOp::kMovImm:
-          regs_.gpr[u.r1] = u.imm;
-          break;
         case UOp::kAddRR:
-          regs_.zf = (regs_.gpr[u.r1] += regs_.gpr[u.r2]) == 0;
-          break;
         case UOp::kSubRR:
-          regs_.zf = (regs_.gpr[u.r1] -= regs_.gpr[u.r2]) == 0;
-          break;
         case UOp::kXorRR:
-          regs_.zf = (regs_.gpr[u.r1] ^= regs_.gpr[u.r2]) == 0;
-          break;
         case UOp::kOrRR:
-          regs_.zf = (regs_.gpr[u.r1] |= regs_.gpr[u.r2]) == 0;
-          break;
         case UOp::kCmpRR:
-          regs_.zf = (regs_.gpr[u.r1] - regs_.gpr[u.r2]) == 0;
-          break;
         case UOp::kAddImm:
-          regs_.zf = (regs_.gpr[u.r1] += u.imm) == 0;
-          break;
         case UOp::kSubImm:
-          regs_.zf = (regs_.gpr[u.r1] -= u.imm) == 0;
-          break;
         case UOp::kCmpImm:
-          regs_.zf = (regs_.gpr[u.r1] - u.imm) == 0;
+          exec_simple(u.kind, u.r1, u.r2, u.imm, regs_);
           break;
         case UOp::kRdtsc:
           // Reads cycles_ before this op's own cost is charged, exactly
@@ -762,34 +739,8 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
         case UOp::kFused: {
           // Fused ALU half: register-only, cannot fault, sets the ZF the
           // branch consumes. Charged exactly like exec_insn.
-          u32 result = 0;
-          switch (static_cast<FusedAlu>(u.aux & 0x7F)) {
-            case FusedAlu::kAddRR:
-              result = (regs_.gpr[u.r1] += regs_.gpr[u.r2]);
-              break;
-            case FusedAlu::kSubRR:
-              result = (regs_.gpr[u.r1] -= regs_.gpr[u.r2]);
-              break;
-            case FusedAlu::kXorRR:
-              result = (regs_.gpr[u.r1] ^= regs_.gpr[u.r2]);
-              break;
-            case FusedAlu::kOrRR:
-              result = (regs_.gpr[u.r1] |= regs_.gpr[u.r2]);
-              break;
-            case FusedAlu::kCmpRR:
-              result = regs_.gpr[u.r1] - regs_.gpr[u.r2];
-              break;
-            case FusedAlu::kAddImm:
-              result = (regs_.gpr[u.r1] += u.imm);
-              break;
-            case FusedAlu::kSubImm:
-              result = (regs_.gpr[u.r1] -= u.imm);
-              break;
-            case FusedAlu::kCmpImm:
-              result = regs_.gpr[u.r1] - u.imm;
-              break;
-          }
-          regs_.zf = (result == 0);
+          exec_simple(static_cast<UOp>(u.aux & 0x7F), u.r1, u.r2, u.imm,
+                      regs_);
           ++instructions_;
           cycles_ += perf_.cost_default;
           if (executed == 0)

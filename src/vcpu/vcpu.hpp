@@ -17,6 +17,7 @@
 
 #include "isa/isa.hpp"
 #include "mem/machine.hpp"
+#include "support/check.hpp"
 #include "vcpu/block_cache.hpp"
 #include "vcpu/perf_model.hpp"
 #include "vcpu/trace_cache.hpp"
@@ -46,6 +47,51 @@ struct Regs {
   u32& operator[](isa::Reg r) { return gpr[static_cast<u8>(r)]; }
   u32 operator[](isa::Reg r) const { return gpr[static_cast<u8>(r)]; }
 };
+
+/// Register-only instruction semantics, defined once for every tier:
+/// exec_insn, the block tier's straight-line batch, the trace tier's simple
+/// micro-ops and its fused ALU halves all execute through here. `kind` is a
+/// simple UOp (see simple_uop); retirement and cycle accounting stay with
+/// the caller, which is what lets the tiers batch it.
+inline void exec_simple(UOp kind, u8 r1, u8 r2, u32 imm, Regs& regs) {
+  u32* gpr = regs.gpr.data();
+  switch (kind) {
+    case UOp::kNop:
+      return;
+    case UOp::kMovRR:
+      gpr[r1] = gpr[r2];
+      return;
+    case UOp::kMovImm:
+      gpr[r1] = imm;
+      return;
+    case UOp::kAddRR:
+      regs.zf = (gpr[r1] += gpr[r2]) == 0;
+      return;
+    case UOp::kSubRR:
+      regs.zf = (gpr[r1] -= gpr[r2]) == 0;
+      return;
+    case UOp::kXorRR:
+      regs.zf = (gpr[r1] ^= gpr[r2]) == 0;
+      return;
+    case UOp::kOrRR:
+      regs.zf = (gpr[r1] |= gpr[r2]) == 0;
+      return;
+    case UOp::kCmpRR:
+      regs.zf = (gpr[r1] - gpr[r2]) == 0;
+      return;
+    case UOp::kAddImm:
+      regs.zf = (gpr[r1] += imm) == 0;
+      return;
+    case UOp::kSubImm:
+      regs.zf = (gpr[r1] -= imm) == 0;
+      return;
+    case UOp::kCmpImm:
+      regs.zf = (gpr[r1] - imm) == 0;
+      return;
+    default:
+      FC_UNREACHABLE(<< "not a simple micro-op");
+  }
+}
 
 enum class ExitReason : u8 {
   kNone,
@@ -218,6 +264,8 @@ class Vcpu {
   }
 
   // --- execution breakpoints (hypervisor-installed) ---------------------
+  /// Both bump the breakpoint epoch, which retires every trace's cached
+  /// "breakpoint inside" answer.
   void add_breakpoint(GVirt pc);
   void remove_breakpoint(GVirt pc);
   bool has_breakpoint(GVirt pc) const;
@@ -253,6 +301,16 @@ class Vcpu {
   /// behaviour (IRQs, breakpoints, TLB fills, frame writes, page-end fetch
   /// probes) is in play, bailing back to step() the moment anything is.
   Exit run_cached_tail(u64 budget_end);
+  /// run_cached_tail's batch: cursor_insn just served a simple op at
+  /// regs_.pc, every loop-top check passed for it, and nothing below can
+  /// move a guard input but cycles_. Retire the straight-line run of simple
+  /// ops from there in one go, clamped so it stops exactly where per-op
+  /// execution would next have left the loop or sampled (budget, deferred
+  /// IRQ release, sample boundary, a breakpoint or suppress-once, the
+  /// page-tail region), and settle the accounting once.
+  void run_simple_batch(u64 budget_end);
+  /// Whether a breakpoint sits on any op of `tr` (cached per epoch).
+  bool breakpoint_in(Trace& tr);
   /// Trace-tier dispatch at regs_.pc, chaining trace-to-trace as long as
   /// each landing pc heads another valid trace. Sets *dispatched when it
   /// either ran a trace (the returned Exit is authoritative, kNone meaning
@@ -301,6 +359,7 @@ class Vcpu {
   GVirt kstack_ptr_addr_ = 0;
 
   std::vector<GVirt> breakpoints_;
+  u64 bp_epoch_ = 1;  // bumped on every add/remove; Trace::bp_epoch starts 0
   GVirt suppress_bp_at_ = 0xFFFFFFFFu;
 
   BlockCache block_cache_;

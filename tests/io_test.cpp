@@ -229,8 +229,8 @@ TEST(IoParity, DefaultTuningIsCycleExactWithLegacyPathInLockstep) {
   std::optional<hv::RunOutcome> or_, ol;
   while (ring.sys->vcpu().cycles() < 300'000'000ull) {
     cpu::Exit er, el;
-    or_ = ring.sys->hv().step_one(&er);
-    ol = legacy.sys->hv().step_one(&el);
+    or_ = ring.sys->hv().run_chunk(1, &er);
+    ol = legacy.sys->hv().run_chunk(1, &el);
     ++steps;
     const cpu::Regs& rr = ring.sys->vcpu().regs();
     const cpu::Regs& rl = legacy.sys->vcpu().regs();

@@ -4,7 +4,10 @@
 // multi-page trace must retire exactly that trace), code-load rewrites
 // (the recovery path), and EPT view repoints mid-run — which must swing
 // execution to the other view's traces without flushing anything, and
-// revive the originals on switch-back.
+// revive the originals on switch-back. The batch-boundary cases at the end
+// put each clamp of the block tier's straight-line batch (and of the trace
+// tier's fast mode) inside a run of simple ops and check both tiers against
+// the uncached interpreter after every run() call.
 #include <gtest/gtest.h>
 
 #include "harness/harness.hpp"
@@ -307,6 +310,310 @@ TEST_F(TraceCacheFixture, DisablingDropsResidentTraces) {
   EXPECT_EQ(g_.vcpu.regs()[Reg::D], 100u);
   EXPECT_GT(g_.vcpu.trace_cache().size(), 0u);
 }
+
+// --- Batch boundaries -----------------------------------------------------
+//
+// Every program below is a loop whose body is a straight-line run of
+// kBodyOps `add A, B` (B = 1, so A counts retired body ops), closed by a
+// fused `sub D, B; jnz`. Parameterised on the tier under test: the block tier
+// alone (the body retires as one batch after its first op) or the trace tier
+// at hot threshold 1 (the body is a trace segment from the second pass on).
+
+constexpr u32 kBodyOps = 48;
+
+/// The uncached interpreter and the tier under test, loaded with the same
+/// bytes and run with the same budgets.
+class BatchBoundary : public ::testing::TestWithParam<bool> {
+ protected:
+  BatchBoundary() {
+    plain_.vcpu.set_block_cache_enabled(false);
+    cached_.vcpu.set_trace_cache_enabled(trace_tier());
+    if (trace_tier()) cached_.vcpu.set_trace_hot_threshold(1);
+  }
+
+  bool trace_tier() const { return GetParam(); }
+
+  /// Emit the loop: prologue, optional padding so the body starts at code
+  /// offset `body_at`, kBodyOps adds, then the back edge and HLT.
+  static Assembler body_loop(u32 iters, u32 body_at = 0) {
+    Assembler a;
+    a.mov_imm(Reg::A, 0);
+    a.mov_imm(Reg::B, 1);
+    a.mov_imm(Reg::D, iters);
+    auto head = a.make_label();
+    if (body_at != 0) {
+      a.jmp(head);
+      while (a.size() < body_at) a.nop();  // never executed
+    }
+    a.bind(head);
+    for (u32 i = 0; i < kBodyOps; ++i) a.add(Reg::A, Reg::B);
+    a.sub(Reg::D, Reg::B);
+    a.jnz_near(head);
+    a.hlt();
+    return a;
+  }
+
+  void load(const std::vector<u8>& bytes) {
+    for (MiniGuest* g : {&cached_, &plain_}) {
+      g->machine.pwrite_bytes(mem::GuestLayout::kernel_pa(kCodeVa), bytes);
+      g->vcpu.regs().pc = kCodeVa;
+    }
+  }
+
+  template <class F>
+  void both(F f) {
+    f(cached_.vcpu);
+    f(plain_.vcpu);
+  }
+
+  /// One run() of `budget` on both; the exits and every observable must
+  /// agree.
+  Exit run(u64 budget) {
+    const Exit ec = cached_.vcpu.run(budget);
+    const Exit ep = plain_.vcpu.run(budget);
+    EXPECT_EQ(ec.reason, ep.reason);
+    EXPECT_EQ(ec.pc, ep.pc);
+    expect_same();
+    return ec;
+  }
+
+  void expect_same() {
+    const Vcpu& c = cached_.vcpu;
+    const Vcpu& p = plain_.vcpu;
+    EXPECT_EQ(c.regs().gpr, p.regs().gpr);
+    EXPECT_EQ(c.regs().pc, p.regs().pc);
+    EXPECT_EQ(c.regs().zf, p.regs().zf);
+    EXPECT_EQ(c.cycles(), p.cycles());
+    EXPECT_EQ(c.instructions_retired(), p.instructions_retired());
+    EXPECT_EQ(cached_.machine.mmu().stats().tlb_misses,
+              plain_.machine.mmu().stats().tlb_misses);
+  }
+
+  /// Both tiers actually carried the body: the block tier served it from
+  /// the cursor, the trace tier dispatched it.
+  void expect_tier_ran() const {
+    if (trace_tier())
+      EXPECT_GT(cached_.vcpu.trace_cache().stats().trace_insns, kBodyOps);
+    else
+      EXPECT_GT(cached_.vcpu.block_cache().stats().insn_hits, kBodyOps);
+  }
+
+  MiniGuest cached_;
+  MiniGuest plain_;
+};
+
+/// Address of body op `i` in a body_loop without padding (3 five-byte
+/// MOVs ahead of the body, two-byte ADDs in it).
+constexpr GVirt body_op(u32 i) { return kCodeVa + 15 + 2 * i; }
+
+TEST_P(BatchBoundary, BreakpointMidRunArmedBeforeAndReArmedBetweenChunks) {
+  Assembler a = body_loop(10);
+  load(a.finish(kCodeVa));
+  const GVirt hlt_va = body_op(kBodyOps) + 2 + 6;
+
+  // Armed before the first run (with one outside the body too): exit on op
+  // 30 of the first pass, 30 adds retired.
+  both([&](Vcpu& v) {
+    v.add_breakpoint(hlt_va);
+    v.add_breakpoint(body_op(30));
+  });
+  Exit exit = run(10'000);
+  EXPECT_EQ(exit.reason, ExitReason::kBreakpoint);
+  EXPECT_EQ(exit.pc, body_op(30));
+  EXPECT_EQ(cached_.vcpu.regs()[Reg::A], 30u);
+
+  // Step over it, disarm it, and run into the sixth pass with only the
+  // breakpoint outside the body armed (trace fast mode stays on).
+  both([](Vcpu& v) {
+    v.suppress_breakpoint_once();
+    v.remove_breakpoint(body_op(30));
+  });
+  EXPECT_EQ(run(20 + 4 * (kBodyOps + 2) + 37).reason,
+            ExitReason::kInstructionLimit);
+  EXPECT_EQ(cached_.vcpu.regs()[Reg::A], 5 * kBodyOps + 37);
+
+  // Re-armed between chunks, earlier in the body: the next pass (a trace
+  // dispatch at the trace tier, whose breakpoint answer was cached at an
+  // older epoch) must stop on it.
+  both([](Vcpu& v) { v.add_breakpoint(body_op(20)); });
+  exit = run(10'000);
+  EXPECT_EQ(exit.reason, ExitReason::kBreakpoint);
+  EXPECT_EQ(exit.pc, body_op(20));
+  EXPECT_EQ(cached_.vcpu.regs()[Reg::A], 6 * kBodyOps + 20);
+
+  // Finish the pass exactly at the loop head, then move the breakpoint onto
+  // the JNZ, the branch half of the fused SUB+JNZ pair: the next pass is
+  // one trace dispatch at the trace tier.
+  both([](Vcpu& v) {
+    v.remove_breakpoint(body_op(20));
+    v.suppress_breakpoint_once();
+  });
+  EXPECT_EQ(run(kBodyOps - 20 + 2).reason, ExitReason::kInstructionLimit);
+  EXPECT_EQ(cached_.vcpu.regs().pc, body_op(0));
+  const GVirt jnz_va = body_op(kBodyOps) + 2;
+  both([&](Vcpu& v) { v.add_breakpoint(jnz_va); });
+  exit = run(10'000);
+  EXPECT_EQ(exit.reason, ExitReason::kBreakpoint);
+  EXPECT_EQ(exit.pc, jnz_va);
+  EXPECT_EQ(cached_.vcpu.regs()[Reg::A], 8 * kBodyOps);
+
+  // Disarmed again: the remaining passes run to the HLT breakpoint.
+  both([&](Vcpu& v) {
+    v.remove_breakpoint(jnz_va);
+    v.suppress_breakpoint_once();
+  });
+  exit = run(10'000);
+  EXPECT_EQ(exit.reason, ExitReason::kBreakpoint);
+  EXPECT_EQ(exit.pc, hlt_va);
+  EXPECT_EQ(cached_.vcpu.regs()[Reg::A], 10 * kBodyOps);
+  expect_tier_ran();
+}
+
+TEST_P(BatchBoundary, DeferredIrqReleaseMidRun) {
+  // The handler snapshots A (the body-op count) into C.
+  constexpr GVirt kHandler = kKernelBase + 0x40000;
+  Assembler handler;
+  handler.mov(Reg::C, Reg::A);
+  handler.iret();
+  const std::vector<u8> hbytes = handler.finish(kHandler);
+  for (MiniGuest* g : {&cached_, &plain_}) {
+    g->machine.pwrite_bytes(mem::GuestLayout::kernel_pa(kHandler), hbytes);
+    g->machine.pwrite32(mem::GuestLayout::kernel_pa(kIdt + 32 * 4),
+                        kHandler);
+  }
+  Assembler a = body_loop(10);
+  load(a.finish(kCodeVa));
+
+  // Into the sixth pass (traced at the trace tier), then park an IRQ edge
+  // until mid-run two passes later.
+  EXPECT_EQ(run(5 * (kBodyOps + 2) + 10).reason,
+            ExitReason::kInstructionLimit);
+  both([](Vcpu& v) {
+    v.regs().interrupts_enabled = true;
+    v.raise_irq(0);
+    v.defer_pending_irqs(v.cycles() + 2 * kBodyOps + 7);
+  });
+  EXPECT_EQ(run(10'000).reason, ExitReason::kHalt);
+  const u32 snapshot = cached_.vcpu.regs()[Reg::C];
+  EXPECT_GT(snapshot % kBodyOps, 0u);  // delivered mid-run
+  expect_tier_ran();
+}
+
+/// Records every sample the vCPU fires.
+struct SampleLog final : SampleSink {
+  struct Sample {
+    Cycles now;
+    GVirt pc;
+    u8 tier;
+    u64 periods;
+  };
+  void on_sample(Cycles now, GVirt pc, u8 tier, u64 periods) override {
+    samples.push_back({now, pc, tier, periods});
+  }
+  std::vector<Sample> samples;
+};
+
+TEST_P(BatchBoundary, SamplerPeriodBoundaryMidRun) {
+  Assembler a = body_loop(8);
+  load(a.finish(kCodeVa));
+  SampleLog cached_log;
+  SampleLog plain_log;
+  // 37 is coprime to the loop length: boundaries land all over the body.
+  cached_.vcpu.set_sample_sink(&cached_log, 37);
+  plain_.vcpu.set_sample_sink(&plain_log, 37);
+  EXPECT_EQ(run(10'000).reason, ExitReason::kHalt);
+
+  ASSERT_EQ(cached_log.samples.size(), plain_log.samples.size());
+  ASSERT_GT(cached_log.samples.size(), 4u);
+  u32 traced = 0;
+  for (std::size_t i = 0; i < cached_log.samples.size(); ++i) {
+    const SampleLog::Sample& c = cached_log.samples[i];
+    const SampleLog::Sample& p = plain_log.samples[i];
+    EXPECT_EQ(c.now, p.now) << "sample " << i;
+    EXPECT_EQ(c.periods, p.periods) << "sample " << i;
+    EXPECT_EQ(p.tier, kTierInterp);
+    // The trace tier samples at its per-op guard and names the op it is
+    // about to run; the other tiers name the op they just retired.
+    if (c.tier == kTierTrace) {
+      ++traced;
+      continue;
+    }
+    EXPECT_EQ(c.tier, kTierBlock) << "sample " << i;
+    EXPECT_EQ(c.pc, p.pc) << "sample " << i;
+  }
+  EXPECT_EQ(traced != 0, trace_tier());
+  expect_tier_ran();
+}
+
+TEST_P(BatchBoundary, BudgetEndsMidRun) {
+  Assembler a = body_loop(12);
+  load(a.finish(kCodeVa));
+  // Budgets that end at assorted offsets inside the body, on every pass.
+  for (u64 budget : {1u, 9u, 23u, 40u, 17u, 61u, 5u, 33u, 120u, 77u, 49u,
+                     88u}) {
+    EXPECT_EQ(run(budget).reason, ExitReason::kInstructionLimit);
+  }
+  EXPECT_EQ(run(10'000).reason, ExitReason::kHalt);
+  EXPECT_EQ(cached_.vcpu.regs()[Reg::A], 12 * kBodyOps);
+  expect_tier_ran();
+}
+
+TEST_P(BatchBoundary, RunReachesThePageTail) {
+  // The body starts 40 bytes before a page end, so its ops at page offsets
+  // 4090, 4092 and 4094 sit in the page-tail region, where fetching probes
+  // (and, the first time, misses on) the next page.
+  constexpr u32 kBodyAt = kPageSize - 40;
+  Assembler a = body_loop(3, kBodyAt);
+  load(a.finish(kCodeVa));
+  // Prologue (3 MOVs + JMP), then body ops 0..17: the chunk ends right
+  // after the first tail op, whose fetch probed the next page.
+  EXPECT_EQ(run(4 + 18).reason, ExitReason::kInstructionLimit);
+  EXPECT_EQ(cached_.vcpu.regs().pc, kCodeVa + kPageSize - 4);
+  for (u64 budget : {50u, 19u}) {
+    EXPECT_EQ(run(budget).reason, ExitReason::kInstructionLimit);
+  }
+  EXPECT_EQ(run(10'000).reason, ExitReason::kHalt);
+  EXPECT_EQ(cached_.vcpu.regs()[Reg::A], 3 * kBodyOps);
+}
+
+TEST_P(BatchBoundary, MemoryFormOrInsideRunIsNotBatched) {
+  // `0B 0F` decodes as OR ecx, [edi] — the odd-return-address byte pair of
+  // the paper's Figure 3. It reads memory, so it must split the run.
+  constexpr GVirt kData = kKernelBase + 0x50000;
+  Assembler a;
+  a.mov_imm(Reg::A, 0);
+  a.mov_imm(Reg::B, 1);
+  a.mov_imm(Reg::C, 0x10);
+  a.mov_imm(Reg::DI, kData);
+  a.mov_imm(Reg::D, 8);
+  auto head = a.make_label();
+  a.bind(head);
+  for (u32 i = 0; i < 12; ++i) a.add(Reg::A, Reg::B);
+  const u32 or_at = a.size();
+  a.or_(Reg::C, Reg::DI);  // register form, patched to the memory form
+  for (u32 i = 0; i < 12; ++i) a.add(Reg::A, Reg::B);
+  a.sub(Reg::D, Reg::B);
+  a.jnz_near(head);
+  a.hlt();
+  std::vector<u8> bytes = a.finish(kCodeVa);
+  ASSERT_EQ(bytes[or_at], 0x0B);
+  bytes[or_at + 1] = 0x0F;  // mod 00, reg ecx, rm edi
+  for (MiniGuest* g : {&cached_, &plain_})
+    g->machine.pwrite32(mem::GuestLayout::kernel_pa(kData), 0x0F00);
+  load(bytes);
+
+  EXPECT_EQ(run(20).reason, ExitReason::kInstructionLimit);
+  EXPECT_EQ(run(10'000).reason, ExitReason::kHalt);
+  EXPECT_EQ(cached_.vcpu.regs()[Reg::C], 0x0F10u);  // memory, not edi
+  EXPECT_EQ(cached_.vcpu.regs()[Reg::A], 8 * 24u);
+  expect_tier_ran();
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, BatchBoundary, ::testing::Values(false, true),
+                         [](const auto& param_info) {
+                           return param_info.param ? "TraceTier"
+                                                   : "BlockTier";
+                         });
 
 }  // namespace
 }  // namespace fc::cpu
