@@ -19,187 +19,119 @@ constexpr u64 trace_key(HostFrame frame, u32 offset) {
 /// consumes (the flags-dead proof in DESIGN.md — no op between the pair can
 /// observe an intermediate flags state because there is none). That is every
 /// simple micro-op from kAddRR on: the ZF-writing ALU ops.
-bool fusable_alu(const isa::Instruction& insn) {
-  const UOp kind = simple_uop(insn);
+bool fusable_alu(UOp kind) {
   return kind >= UOp::kAddRR && kind <= UOp::kCmpImm;
 }
 
-/// Classify for the dispatcher (see OpKind): the simple ops, direct
-/// branches and RDTSC. kCli/kSti are deliberately kSlow — unmasking
+/// Lower one instruction at `va` to its micro-op. Branch targets are left
+/// unresolved (finish_trace resolves them once the trace is complete).
+/// RDTSC and direct branches get their own micro-ops, register-only and
+/// memory ops theirs; kCli/kSti are deliberately kSlow — unmasking
 /// interrupts can make a pending IRQ due at the very next boundary, which
 /// only the full guard notices.
-OpKind classify_op(const isa::Instruction& insn) {
-  if (simple_uop(insn) != UOp::kSlow) return OpKind::kPure;
+MicroOp lower_op(const isa::Instruction& insn, GVirt va, Trace& tr) {
+  MicroOp u;
+  u.r1 = static_cast<u8>(insn.r1);
+  u.r2 = static_cast<u8>(insn.r2);
+  u.imm = insn.imm;
+  u.va = va;
+  u.fall_va = va + insn.length;
+  if (const UOp simple = simple_uop(insn); simple != UOp::kSlow) {
+    u.kind = simple;
+    return u;
+  }
+  if (const UOp mem = mem_uop(insn); mem != UOp::kSlow) {
+    u.kind = mem;
+    u.imm = mem_imm(insn, u.fall_va);
+    if (mem == UOp::kCall) u.taken_va = insn.rel_target(va);
+    return u;
+  }
   switch (insn.op) {
+    case Op::kRdtsc:
+      u.kind = UOp::kRdtsc;
+      break;
     case Op::kJmp:
     case Op::kJmpShort:
+      u.kind = UOp::kJmp;
+      u.taken_va = insn.rel_target(va);
+      break;
     case Op::kJz:
-    case Op::kJnz:
     case Op::kJzNear:
+    case Op::kJnz:
     case Op::kJnzNear:
-    case Op::kRdtsc:
-      return OpKind::kPure;
+      u.kind = UOp::kJcc;
+      u.aux = (insn.op == Op::kJz || insn.op == Op::kJzNear) ? 0x80 : 0;
+      u.taken_va = insn.rel_target(va);
+      break;
     default:
-      return OpKind::kSlow;
+      // Environment calls, interrupt flow, masking, indirect calls, the
+      // memory-form OR: exec_insn with a full guard re-run.
+      u.kind = UOp::kSlow;
+      u.slow_index = static_cast<u16>(tr.slow.size());
+      tr.slow.push_back(insn);
+      break;
   }
+  return u;
+}
+
+/// Rewrite the previous micro-op into a fused ALU+Jcc pair if it is the
+/// adjacent register-only ALU producing the flags this branch tests.
+bool try_fuse(MicroOp& prev, const isa::Instruction& jcc, GVirt jcc_va) {
+  if (!fusable_alu(prev.kind) || prev.fall_va != jcc_va) return false;
+  const bool want_zf = jcc.op == Op::kJz || jcc.op == Op::kJzNear;
+  prev.aux = static_cast<u8>(prev.kind) | (want_zf ? 0x80 : 0);
+  prev.kind = UOp::kFused;
+  prev.jcc_va = jcc_va;
+  prev.taken_va = jcc.rel_target(jcc_va);
+  prev.fall_va = jcc_va + jcc.length;
+  return true;
 }
 
 /// Resolve a branch target to an in-trace micro-op index: the next op on
-/// the predicted chain or the trace entry (the hot-loop back edge), exactly
-/// the two stay-in-dispatch cases the dispatcher recognised before lowering.
+/// the predicted chain or the trace entry (the hot-loop back edge), the
+/// two stay-in-dispatch cases.
 u16 target_index(GVirt target, const Trace& tr, std::size_t j) {
-  if (j + 1 < tr.ops.size() && target == tr.ops[j + 1].va)
+  if (j + 1 < tr.uops.size() && target == tr.uops[j + 1].va)
     return static_cast<u16>(j + 1);
   if (target == tr.entry_va) return 0;
   return kNoTarget;
 }
 
-/// Lower the finished op list into the flat micro-op array the dispatcher
-/// executes (1:1, same indices). All operand extraction, rel_target
-/// arithmetic and in-trace branch resolution happens here, once.
-void lower(Trace& tr) {
-  const std::size_t n = tr.ops.size();
-  tr.uops.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const TraceOp& op = tr.ops[j];
-    const isa::Instruction& insn = op.insn;
-    MicroOp u;
-    u.va = op.va;
-    u.fall_va = op.va + insn.length;
-    u.slow_index = static_cast<u16>(j);
-    if (op.fused) {
-      u.kind = UOp::kFused;
-      const bool want_zf =
-          op.jcc.op == Op::kJz || op.jcc.op == Op::kJzNear;
-      u.aux = static_cast<u8>(simple_uop(insn)) | (want_zf ? 0x80 : 0);
-      u.r1 = static_cast<u8>(insn.r1);
-      u.r2 = static_cast<u8>(insn.r2);
-      u.imm = insn.imm;
-      u.jcc_va = op.jcc_va;
-      u.taken_va = op.taken_va;
-      u.fall_va = op.fall_va;
-      u.taken_idx = target_index(op.taken_va, tr, j);
-      u.fall_idx = target_index(op.fall_va, tr, j);
-    } else if (op.kind == OpKind::kPure) {
-      u.r1 = static_cast<u8>(insn.r1);
-      u.r2 = static_cast<u8>(insn.r2);
-      u.imm = insn.imm;
-      switch (insn.op) {
-        case Op::kRdtsc:
-          u.kind = UOp::kRdtsc;
-          break;
-        case Op::kJmp:
-        case Op::kJmpShort: {
-          const GVirt target = insn.rel_target(op.va);
-          u.taken_va = target;
-          u.taken_idx = target_index(target, tr, j);
-          if (u.taken_idx == static_cast<u16>(j + 1)) {
-            // The chain follows this jump anyway: retire-only micro-op,
-            // with the architectural next-pc being the jump target.
-            u.kind = UOp::kNop;
-            u.fall_va = target;
-          } else {
-            u.kind = UOp::kJmp;
-          }
-          break;
-        }
-        case Op::kJz:
-        case Op::kJzNear:
-        case Op::kJnz:
-        case Op::kJnzNear:
-          u.kind = UOp::kJcc;
-          u.aux = (insn.op == Op::kJz || insn.op == Op::kJzNear) ? 1 : 0;
-          u.taken_va = insn.rel_target(op.va);
-          u.taken_idx = target_index(u.taken_va, tr, j);
-          u.fall_idx = target_index(u.fall_va, tr, j);
-          break;
-        default:
-          // classify_op admits nothing else: a register-only simple op.
-          u.kind = simple_uop(insn);
-          FC_CHECK(u.kind != UOp::kSlow, << "unloweable pure op");
-          break;
-      }
-    } else {
-      u.r1 = static_cast<u8>(insn.r1);
-      u.r2 = static_cast<u8>(insn.r2);
-      switch (insn.op) {
-        case Op::kPush:
-          u.kind = UOp::kPush;
-          break;
-        case Op::kPop:
-          u.kind = UOp::kPop;
-          break;
-        case Op::kLoad:
-          u.kind = UOp::kLoad;
-          u.imm = static_cast<u32>(insn.disp);
-          break;
-        case Op::kStore:
-          u.kind = UOp::kStore;
-          u.imm = static_cast<u32>(insn.disp);
-          break;
-        case Op::kLoadAbs:
-          u.kind = UOp::kLoadAbs;
-          u.r1 = static_cast<u8>(isa::Reg::A);
-          u.imm = insn.imm;
-          break;
-        case Op::kStoreAbs:
-          u.kind = UOp::kStoreAbs;
-          u.r2 = static_cast<u8>(isa::Reg::A);
-          u.imm = insn.imm;
-          break;
-        case Op::kCall:
-          u.kind = UOp::kCall;
-          u.taken_va = insn.rel_target(op.va);
-          u.taken_idx = target_index(u.taken_va, tr, j);
-          break;
-        case Op::kRet:
-          u.kind = UOp::kRet;
-          break;
-        case Op::kLeave:
-          u.kind = UOp::kLeave;
-          break;
-        default:
-          // Environment calls, interrupt flow, masking, indirect calls, the
-          // memory-form OR: exec_insn with a full guard re-run.
-          u.kind = UOp::kSlow;
-          break;
-      }
-    }
-    tr.uops.push_back(u);
-  }
-  // Segment lengths for the batch dispatcher: seg = number of consecutive
-  // simple micro-ops starting here (see the UOp contract — everything up to
-  // kCmpImm). Computed backwards so each op sees its suffix run.
+/// The closing pass over a stitched trace, backwards so each op sees its
+/// successor's final form: resolve in-trace branch targets to micro-op
+/// indices, and set each op's `seg` — the number of consecutive simple
+/// micro-ops starting there (see the UOp contract: everything up to
+/// kCmpImm). The op array is the trace's bulk, so it drops its growth
+/// slack here.
+void finish_trace(Trace& tr) {
+  tr.uops.shrink_to_fit();
   u16 run = 0;
-  for (std::size_t j = n; j-- > 0;) {
+  for (std::size_t j = tr.uops.size(); j-- > 0;) {
     MicroOp& u = tr.uops[j];
-    run = static_cast<u8>(u.kind) <= static_cast<u8>(UOp::kCmpImm)
-              ? static_cast<u16>(run + 1)
-              : 0;
+    switch (u.kind) {
+      case UOp::kJmp:
+        u.taken_idx = target_index(u.taken_va, tr, j);
+        if (u.taken_idx == static_cast<u16>(j + 1)) {
+          // The chain follows this jump anyway: retire-only micro-op, with
+          // the architectural next-pc being the jump target.
+          u.kind = UOp::kNop;
+          u.fall_va = u.taken_va;
+        }
+        break;
+      case UOp::kJcc:
+      case UOp::kFused:
+        u.taken_idx = target_index(u.taken_va, tr, j);
+        u.fall_idx = target_index(u.fall_va, tr, j);
+        break;
+      case UOp::kCall:
+        u.taken_idx = target_index(u.taken_va, tr, j);
+        break;
+      default:
+        break;
+    }
+    run = u.kind <= UOp::kCmpImm ? static_cast<u16>(run + 1) : 0;
     u.seg = run;
   }
-}
-
-TraceOp make_op(const isa::Instruction& insn, GVirt va) {
-  TraceOp op;
-  op.insn = insn;
-  op.va = va;
-  op.kind = classify_op(insn);
-  return op;
-}
-
-/// Convert the previous op into a fused ALU+Jcc pair if it is the adjacent
-/// register-only ALU producing the flags this branch tests.
-bool try_fuse(TraceOp& prev, const isa::Instruction& jcc, GVirt jcc_va) {
-  if (prev.fused || !fusable_alu(prev.insn)) return false;
-  if (prev.va + prev.insn.length != jcc_va) return false;
-  prev.fused = true;
-  prev.kind = OpKind::kPure;  // both halves register-only by the checks above
-  prev.jcc = jcc;
-  prev.jcc_va = jcc_va;
-  prev.taken_va = jcc.rel_target(jcc_va);
-  prev.fall_va = jcc_va + jcc.length;
-  return true;
 }
 
 void add_constituent(Trace& tr, HostFrame frame, u32 generation) {
@@ -273,7 +205,7 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
   u32 at_off = offset;
   bool stop_chain = false;
   while (!stop_chain && tr.blocks < kMaxTraceBlocks &&
-         tr.ops.size() < kMaxTraceOps) {
+         tr.uops.size() < kMaxTraceOps) {
     const DecodedBlock* block = blocks.peek(at_frame, at_off);
     if (block == nullptr) break;  // chain link never decoded: trace ends
     ++tr.blocks;
@@ -285,7 +217,7 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
     bool have_successor = false;
     GVirt successor = 0;
     for (const isa::Instruction& insn : block->insns) {
-      if (tr.ops.size() >= kMaxTraceOps) {
+      if (tr.uops.size() >= kMaxTraceOps) {
         stop_chain = true;
         break;
       }
@@ -307,10 +239,10 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
           // predicted taken, forward exits predicted fallthrough.
           const GVirt predicted =
               insn.disp < 0 ? insn.rel_target(cur) : next;
-          if (!tr.ops.empty() && try_fuse(tr.ops.back(), insn, cur))
+          if (!tr.uops.empty() && try_fuse(tr.uops.back(), insn, cur))
             ++stats_.fused_built;
           else
-            tr.ops.push_back(make_op(insn, cur));
+            tr.uops.push_back(lower_op(insn, cur, tr));
           successor = predicted;
           have_successor = true;
           break;
@@ -318,7 +250,7 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
         case Op::kJmp:
         case Op::kJmpShort:
         case Op::kCall:
-          tr.ops.push_back(make_op(insn, cur));
+          tr.uops.push_back(lower_op(insn, cur, tr));
           successor = insn.rel_target(cur);
           have_successor = true;
           break;
@@ -330,7 +262,7 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
           // Indirect or environment-driven control flow: include the op (a
           // dispatch ending in RET still runs its body at trace speed) and
           // end the trace where prediction ends.
-          tr.ops.push_back(make_op(insn, cur));
+          tr.uops.push_back(lower_op(insn, cur, tr));
           stop_chain = true;
           break;
         case Op::kUd2:
@@ -339,7 +271,7 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
           stop_chain = true;
           break;
         default:
-          tr.ops.push_back(make_op(insn, cur));
+          tr.uops.push_back(lower_op(insn, cur, tr));
           successor = next;
           have_successor = true;
           break;
@@ -356,7 +288,7 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
     at_off = page_offset(successor);
   }
 
-  if (tr.ops.empty()) {
+  if (tr.uops.empty()) {
     ++stats_.build_failures;
     return nullptr;
   }
@@ -371,9 +303,9 @@ const Trace* TraceCache::build(mem::HostMemory& host, const mem::Mmu& mmu,
     host.watch_code_frame(f);
   }
 
-  lower(tr);
+  finish_trace(tr);
 
-  [[maybe_unused]] const u32 ops = static_cast<u32>(tr.ops.size());
+  [[maybe_unused]] const u32 ops = static_cast<u32>(tr.uops.size());
   [[maybe_unused]] const u32 chained = tr.blocks;
   const u64 key = trace_key(frame, offset);
   arena_.push_back(std::move(tr));

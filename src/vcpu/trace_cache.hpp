@@ -26,8 +26,15 @@
 //     turns into an immediate side exit — the trace-tier equivalent of the
 //     block cursor's generation compare.
 //
-//   * Execution parity: every op is executed by the same Vcpu::exec_insn
-//     (or a fused handler with identical architectural and cycle effects),
+//   * One record per op: build lowers each instruction straight to a flat
+//     MicroOp as it stitches (fusing an ALU+Jcc pair rewrites the previous
+//     record in place), and one closing pass resolves in-trace branch
+//     targets and straight-line run lengths. Only the rare kSlow ops keep
+//     their decoded instruction, in a per-trace side vector.
+//
+//   * Execution parity: every op runs the same definition as the
+//     interpreter — register-only ops through exec_simple, data-memory ops
+//     through exec_mem, everything else through Vcpu::exec_insn itself —
 //     guarded per-op by the same bail conditions as the block-tail loop, so
 //     architectural state, cycle charging and TLB-miss counts are identical
 //     to uncached execution at every side exit. The only skipped work is
@@ -46,40 +53,14 @@
 
 namespace fc::cpu {
 
-/// One trace element: a pre-decoded instruction plus what the dispatcher
-/// needs to run it without consulting the block table. When `fused` is set
-/// the op is an adjacent ALU+Jcc pair executed by the fused handler (the
-/// ALU in `insn`, the branch in `jcc`).
-/// Dispatcher execution class, decided at build time.
-///
-///   kPure — register-only: cannot fault, touch the MMU or environment, or
-///       change IRQ state. While every op since the last full guard pass was
-///       pure (and no IRQ was due), the per-op guard collapses to the budget
-///       compare and the op runs in the dispatcher's inline handler.
-///   kSlow — everything else. Lowering splits this class further: common
-///       data-memory ops get their own micro-ops (see UOp), the rest run
-///       through Vcpu::exec_insn with a full guard re-run.
-enum class OpKind : u8 { kSlow = 0, kPure };
-
-struct TraceOp {
-  isa::Instruction insn;  // the instruction (the ALU half when fused)
-  GVirt va = 0;           // architectural address of `insn`
-  bool fused = false;     // fused pairs are kPure by construction
-  OpKind kind = OpKind::kSlow;
-  isa::Instruction jcc;   // fused only: the branch half
-  GVirt jcc_va = 0;       // fused only: address of the branch half
-  GVirt taken_va = 0;     // fused only: branch target
-  GVirt fall_va = 0;      // fused only: fallthrough
-};
-
-/// Micro-op: the executable lowering of a TraceOp, produced once at build.
+/// Micro-op: a trace's one record per op, lowered once at build.
 /// Everything the dispatcher needs per op sits in one flat 32-byte record:
 /// register indices and immediates are pre-extracted, branch targets are
 /// pre-resolved to *micro-op indices* when they stay inside the trace
 /// (`kNoTarget` means the target leaves it), and `fall_va` always holds the
 /// architectural next-pc so the dispatcher can keep regs_.pc lazy — it only
-/// materialises the pc at side exits, trace ends, and kSlow ops, instead of
-/// storing and re-comparing it after every instruction.
+/// materialises the pc at side exits, trace ends, memory and kSlow ops,
+/// instead of storing and re-comparing it after every instruction.
 enum class UOp : u8 {
   // "Simple" micro-ops first (everything up to and including kCmpImm, a
   // contract MicroOp::seg and the batch dispatcher rely on): straight-line,
@@ -101,25 +82,25 @@ enum class UOp : u8 {
   kRdtsc,   // gpr[A]:gpr[D] = cycles (read before this op's own charge;
             // reading cycles is what keeps it out of the simple batch)
   kJmp,     // unconditional: taken_idx / taken_va
-  kJcc,     // conditional on ZF == (aux != 0): taken_* / fall_*
+  kJcc,     // conditional on ZF == (aux bit 7): taken_* / fall_*
   kFused,   // ALU+Jcc pair: aux low bits = the ALU half's simple UOp,
             // bit 7 = want-ZF
-  // Data-memory micro-ops: the same MMU calls in the same order as
-  // exec_insn, including partial effects on the fault path. They cannot
-  // raise an IRQ or move a breakpoint, so fast mode survives them; the
-  // dispatcher re-compares the translation/code versions right after each
-  // one instead (a data access can fill the TLB, a store can hit a watched
-  // code frame).
+  // Data-memory micro-ops (see mem_uop): every tier executes them through
+  // exec_mem, the one definition of their MMU calls and partial effects.
+  // They cannot raise an IRQ or move a breakpoint, so fast mode survives
+  // them; the dispatcher re-compares the translation/code versions right
+  // after each one instead (a data access can fill the TLB, a store can hit
+  // a watched code frame).
   kPush,    // sp -= 4; [sp] = gpr[r1] (value read before sp moves)
   kPop,     // gpr[r1] = [sp]; sp += 4 (assigned after the bump)
   kLoad,    // gpr[r1] = [gpr[r2] + imm]
   kStore,   // [gpr[r1] + imm] = gpr[r2]
   kLoadAbs,   // gpr[r1] = [imm]
   kStoreAbs,  // [imm] = gpr[r2]
-  kCall,    // sp -= 4; [sp] = fall_va; pc = taken (direct, pre-resolved)
+  kCall,    // sp -= 4; [sp] = imm (the return address); pc = taken
   kRet,     // pc = [sp]; sp += 4 (dynamic landing, resolved like kSlow)
   kLeave,   // sp = fp; fp = [sp]; sp += 4
-  kSlow,    // materialise pc, exec_insn(ops[slow_index].insn), full guard
+  kSlow,    // materialise pc, exec_insn(Trace::slow[slow_index]), full guard
 };
 
 /// The simple micro-op an instruction executes as, or kSlow when it is not
@@ -158,13 +139,56 @@ constexpr UOp simple_uop(const isa::Instruction& insn) {
   }
 }
 
+/// The data-memory micro-op an instruction executes as, or kSlow: the one
+/// memory-op classification exec_insn and trace building share. Decode
+/// leaves A in both register fields of LOADABS/STOREABS, so r1/r2 pass
+/// straight through; the immediate comes from mem_imm.
+constexpr UOp mem_uop(const isa::Instruction& insn) {
+  switch (insn.op) {
+    case isa::Op::kPush:
+      return UOp::kPush;
+    case isa::Op::kPop:
+      return UOp::kPop;
+    case isa::Op::kLoad:
+      return UOp::kLoad;
+    case isa::Op::kStore:
+      return UOp::kStore;
+    case isa::Op::kLoadAbs:
+      return UOp::kLoadAbs;
+    case isa::Op::kStoreAbs:
+      return UOp::kStoreAbs;
+    case isa::Op::kCall:
+      return UOp::kCall;
+    case isa::Op::kRet:
+      return UOp::kRet;
+    case isa::Op::kLeave:
+      return UOp::kLeave;
+    default:
+      return UOp::kSlow;
+  }
+}
+
+/// A memory micro-op's immediate: the displacement of LOAD/STORE, the
+/// return address (`next`) of CALL, the decoded imm otherwise.
+constexpr u32 mem_imm(const isa::Instruction& insn, GVirt next) {
+  switch (insn.op) {
+    case isa::Op::kLoad:
+    case isa::Op::kStore:
+      return static_cast<u32>(insn.disp);
+    case isa::Op::kCall:
+      return next;
+    default:
+      return insn.imm;
+  }
+}
+
 constexpr u16 kNoTarget = 0xFFFF;  // branch target leaves the trace
 
 struct MicroOp {
   UOp kind = UOp::kSlow;
   u8 r1 = 0;            // destination gpr index
   u8 r2 = 0;            // source gpr index
-  u8 aux = 0;           // kJcc: want-ZF; kFused: ALU UOp | want-ZF << 7
+  u8 aux = 0;           // kJcc: want-ZF << 7; kFused: ALU UOp | want-ZF << 7
   u32 imm = 0;          // immediate operand
   GVirt va = 0;         // architectural address (guard + lazy-pc exits)
   GVirt jcc_va = 0;     // kFused: address of the branch half
@@ -173,7 +197,7 @@ struct MicroOp {
                         // straight-line ops the successor, for completion)
   u16 taken_idx = kNoTarget;  // in-trace micro-op index of taken_va
   u16 fall_idx = kNoTarget;   // in-trace micro-op index of fall_va
-  u16 slow_index = 0;         // kSlow: index into Trace::ops
+  u16 slow_index = 0;         // kSlow: index into Trace::slow
   u16 seg = 0;                // length of the simple straight-line run
                               // starting here (0 for non-simple ops)
 };
@@ -185,8 +209,8 @@ struct Trace {
   GVirt entry_va = 0;
   bool live = true;     // false once lazily retired (slot reusable in place)
   u32 blocks = 0;       // decoded blocks chained in
-  std::vector<TraceOp> ops;
-  std::vector<MicroOp> uops;  // 1:1 lowering of ops (same indices)
+  std::vector<MicroOp> uops;
+  std::vector<isa::Instruction> slow;  // the kSlow ops' instructions
   // (frame, generation) per constituent frame: one compare each at dispatch.
   std::vector<std::pair<HostFrame, u32>> constituents;
   // Non-entry code pages the trace executes through, as (vpage, expected

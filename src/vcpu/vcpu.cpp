@@ -209,59 +209,34 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
   u32 cost = perf_.cost_default;
   Exit pending_exit{ExitReason::kNone, 0};
 
-  auto set_zf = [&](u32 result) { regs_.zf = (result == 0); };
   // Guest-controlled addresses: a miss is a guest fault (the instruction is
-  // abandoned mid-way; faulting guests are killed, so partial effects are
-  // irrelevant), never a simulator abort.
-  struct GuestDataFault {};
-  auto read32 = [&](u32 va) -> u32 {
-    auto value = mmu.try_read32(va);
-    if (!value) throw GuestDataFault{};
-    return *value;
-  };
-  auto write32 = [&](u32 va, u32 value) {
-    if (!mmu.try_write32(va, value)) throw GuestDataFault{};
-  };
-  auto push32 = [&](u32 value) {
-    regs_[Reg::SP] -= 4;
-    write32(regs_[Reg::SP], value);
-  };
-  auto pop32 = [&]() {
-    u32 value = read32(regs_[Reg::SP]);
-    regs_[Reg::SP] += 4;
-    return value;
+  // abandoned with the partial effects exec_mem documents), never a
+  // simulator abort.
+  auto data_fault = [&] {
+    end_block(pc);
+    regs_.pc = pc;
+    return Exit{ExitReason::kFetchFault, pc};
   };
 
-  try {
   if (const UOp simple = simple_uop(insn); simple != UOp::kSlow) {
     exec_simple(simple, static_cast<u8>(insn.r1), static_cast<u8>(insn.r2),
                 insn.imm, regs_);
     regs_.pc = next;
+  } else if (const UOp memop = mem_uop(insn); memop != UOp::kSlow) {
+    if (memop == UOp::kRet) end_block(next);
+    if (!exec_mem(memop, static_cast<u8>(insn.r1), static_cast<u8>(insn.r2),
+                  mem_imm(insn, next), regs_, mmu))
+      return data_fault();
+    if (memop == UOp::kCall) {
+      end_block(next);
+      regs_.pc = insn.rel_target(pc);
+      cost = perf_.cost_call;
+    } else if (memop == UOp::kRet) {
+      cost = perf_.cost_ret;  // exec_mem popped the return address into pc
+    } else {
+      regs_.pc = next;
+    }
   } else switch (insn.op) {
-    case Op::kPush:
-      push32(regs_[insn.r1]);
-      regs_.pc = next;
-      break;
-    case Op::kPop:
-      regs_[insn.r1] = pop32();
-      regs_.pc = next;
-      break;
-    case Op::kLoad:
-      regs_[insn.r1] = read32(regs_[insn.r2] + static_cast<u32>(insn.disp));
-      regs_.pc = next;
-      break;
-    case Op::kStore:
-      write32(regs_[insn.r1] + static_cast<u32>(insn.disp), regs_[insn.r2]);
-      regs_.pc = next;
-      break;
-    case Op::kLoadAbs:
-      regs_[Reg::A] = read32(insn.imm);
-      regs_.pc = next;
-      break;
-    case Op::kStoreAbs:
-      write32(insn.imm, regs_[Reg::A]);
-      regs_.pc = next;
-      break;
     case Op::kOr: {
       // Memory form (the register form is simple): the misinterpreted 0B 0F
       // pair lands here. Read through the MMU if mapped, else "read"
@@ -273,36 +248,19 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
       u32 value = frame.has_value() && page_offset(addr) + 4 <= kPageSize
                       ? machine_->host().read32(*frame, page_offset(addr))
                       : 0xFFFFFFFFu;
-      regs_[insn.r1] |= value;
-      set_zf(regs_[insn.r1]);
+      regs_.zf = (regs_[insn.r1] |= value) == 0;
       regs_.pc = next;
       break;
     }
-    case Op::kCall:
-      push32(next);
-      end_block(next);
-      regs_.pc = insn.rel_target(pc);
-      cost = perf_.cost_call;
-      break;
     case Op::kCallTab: {
-      u32 slot = insn.imm + regs_[Reg::A] * 4;
-      GVirt target = read32(slot);
-      push32(next);
+      const std::optional<u32> target =
+          mmu.try_read32(insn.imm + regs_[Reg::A] * 4);
+      if (!target || !push32(regs_, mmu, next)) return data_fault();
       end_block(next);
-      regs_.pc = target;
+      regs_.pc = *target;
       cost = perf_.cost_call;
       break;
     }
-    case Op::kRet:
-      end_block(next);
-      regs_.pc = pop32();
-      cost = perf_.cost_ret;
-      break;
-    case Op::kLeave:
-      regs_[Reg::SP] = regs_[Reg::FP];
-      regs_[Reg::FP] = pop32();
-      regs_.pc = next;
-      break;
     case Op::kJmp:
     case Op::kJmpShort:
       end_block(next);
@@ -330,9 +288,12 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
       break;
     case Op::kIret: {
       end_block(next);
-      u32 ret_pc = pop32();
-      u32 saved_sp = pop32();
-      u32 flags = pop32();
+      u32 ret_pc = 0;
+      u32 saved_sp = 0;
+      u32 flags = 0;
+      if (!pop32(regs_, mmu, ret_pc) || !pop32(regs_, mmu, saved_sp) ||
+          !pop32(regs_, mmu, flags))
+        return data_fault();
       regs_.pc = ret_pc;
       regs_[Reg::SP] = saved_sp;
       regs_.zf = FlagsWord::zf(flags);
@@ -345,15 +306,16 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
       // x86 order: eax, ecx, edx, ebx, original esp, ebp, esi, edi.
       u32 original_sp = regs_[Reg::SP];
       for (int r = 0; r < isa::kNumRegs; ++r) {
-        u32 value = (r == 4) ? original_sp : regs_.gpr[r];
-        push32(value);
+        const u32 value = (r == 4) ? original_sp : regs_.gpr[r];
+        if (!push32(regs_, mmu, value)) return data_fault();
       }
       regs_.pc = next;
       break;
     }
     case Op::kPopa: {
       for (int r = isa::kNumRegs - 1; r >= 0; --r) {
-        u32 value = pop32();
+        u32 value = 0;
+        if (!pop32(regs_, mmu, value)) return data_fault();
         if (r != 4) regs_.gpr[r] = value;  // saved ESP is discarded
       }
       regs_.pc = next;
@@ -392,12 +354,7 @@ Exit Vcpu::exec_insn(const isa::Instruction& insn, u64 misses_before) {
       regs_.pc = next;
       break;
     default:
-      FC_UNREACHABLE(<< "UD2 and the simple ops are handled above");
-  }
-  } catch (const GuestDataFault&) {
-    end_block(pc);
-    regs_.pc = pc;
-    return {ExitReason::kFetchFault, pc};
+      FC_UNREACHABLE(<< "UD2, the simple and the memory ops are handled above");
   }
 
   ++instructions_;
@@ -500,6 +457,11 @@ void Vcpu::run_simple_batch(u64 budget_end) {
 Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
   *dispatched = false;
   mem::Mmu& mmu = machine_->mmu();
+  // The op the trace tier retired last, carried across chained dispatches
+  // and between the halves of a fused pair: a sample due at an op boundary
+  // names it, as exec_insn and the block batch name the op they just
+  // retired.
+  GVirt last_va = 0;
   // Outer loop: a completed (or prediction-exited) dispatch lands on a pc
   // that very often heads another trace — a call-heavy loop alternates
   // between a body trace ending in RET and the continuation trace after the
@@ -508,11 +470,6 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
   // condition exactly as if this tier did not exist.
   for (;;) {
     const GVirt pc = regs_.pc;
-    // The walk-charge baseline for the next retired instruction: predates
-    // this iteration's entry translate, so a probe miss from a dispatch
-    // that then declines still reaches step() (via *misses_io) uncharged
-    // exactly once.
-    const u64 misses_before = *misses_io;
     // Once a chained dispatch has retired instructions, declines must report
     // kNone at the current pc (run() resumes with step); before any dispatch
     // the caller ignores the value.
@@ -545,7 +502,7 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
     if (tr == nullptr) {
       // Promote on the spot if the block here has gone hot; dispatch on the
       // next visit (the entry-translate miss, if any, is charged by the
-      // block tier through the shared misses_before snapshot either way).
+      // block tier through the shared misses_io baseline either way).
       const DecodedBlock* block = block_cache_.peek(*frame, offset);
       if (block != nullptr && block->heat >= trace_hot_threshold_)
         trace_cache_.build(machine_->host(), mmu, block_cache_, *frame,
@@ -565,84 +522,103 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
     const u64 entry_fill = mmu.fill_version();
     const u64 entry_ept = mmu.ept().generation();
     const u64 entry_epoch = trace_cache_.write_epoch();
-    const TraceOp* ops = tr->ops.data();
     const MicroOp* uops = tr->uops.data();
     const std::size_t n = tr->uops.size();
     const GVirt entry_va = tr->entry_va;
     u32 executed = 0;
     std::size_t i = 0;
+    // The TLB-miss count the next retire charges walks against: on entry
+    // the caller's baseline, which predates this iteration's entry
+    // translate, so the first op carries that miss (or, if nothing retires,
+    // the baseline reaches step() via *misses_io and the miss is charged
+    // there exactly once); after each retire, the count at that retire.
+    u64 walk_base = *misses_io;
     // While `fast` holds and cycles_ stays below `fast_until`, every guard
     // except the budget compare is provably quiescent: the last full pass saw
     // no deliverable IRQ, no breakpoint on any op of this trace (at the
-    // current breakpoint epoch) and no armed suppress-once, and every op
-    // executed since was pure (register-only — cannot fill the TLB, write
-    // code bytes, call the environment, or raise/unmask an IRQ). The only
-    // guard input pure ops do advance is cycles_, which matters exactly when a
-    // deferred IRQ's release time is crossed — hence the cycle bound instead
-    // of a per-op re-test. Only a non-pure op can disturb the rest, and
-    // executing one clears the flag.
+    // current breakpoint epoch) and no armed suppress-once, and no op
+    // executed since could disturb them — register-only and branch ops
+    // cannot fill the TLB, write code bytes, call the environment, or
+    // raise/unmask an IRQ; memory ops re-check the versions they can move,
+    // and kSlow ops clear the flag. The only guard input the pure ops do
+    // advance is cycles_, which matters exactly when a deferred IRQ's
+    // release time (or a sample boundary) is crossed — hence the cycle
+    // bound instead of a per-op re-test.
     bool fast = false;
     u64 fast_until = 0;
+
+    // What moved under the hoisted checks since entry: the translation
+    // state, or a code byte. Either is a side exit at the next guard.
+    auto moved = [&]() -> u8 {
+      if (mmu.fill_version() != entry_fill ||
+          mmu.ept().generation() != entry_ept)
+        return TraceCache::kExitTranslation;
+      if (trace_cache_.write_epoch() != entry_epoch)
+        return TraceCache::kExitCodeWrite;
+      return 0;
+    };
+    // The boundary before the op at `va` (or before a fused pair's branch
+    // half): a sample due since the last retire fires first, naming that
+    // op; then the budget; then, outside fast mode, the same bail set as
+    // run_cached_tail, so side exits hand the architectural state to the
+    // block tier exactly as uncached execution would see it. A sample due
+    // before the first retire (time charged before the dispatch) waits for
+    // that retire, as it would in exec_insn. Returns the side-exit reason,
+    // or 0 to run the op.
+    auto boundary = [&](GVirt va) -> u8 {
+      if (fast && cycles_ >= fast_until) fast = false;
+      if (!fast && cycles_ >= sample_at_ && executed != 0)
+        take_sample(last_va, kTierTrace);
+      if (instructions_ >= budget_end) return TraceCache::kExitBudget;
+      if (fast) return 0;
+      if ((deferred_irqs_ != 0 && cycles_ >= irq_release_at_) ||
+          (pending_irqs_ != 0 && regs_.interrupts_enabled))
+        return TraceCache::kExitIrq;
+      if (va == suppress_bp_at_ ||
+          (!breakpoints_.empty() && has_breakpoint(va)))
+        return TraceCache::kExitBreakpoint;
+      if (const u8 why = moved()) return why;
+      // Pending-but-masked IRQs stay undeliverable across pure ops; a
+      // deferred IRQ is handled by the cycle bound. Armed breakpoints only
+      // matter if one sits on an op of this trace: nothing that runs in
+      // fast mode can arm one.
+      fast = (breakpoints_.empty() || !breakpoint_in(*tr)) &&
+             suppress_bp_at_ == 0xFFFFFFFFu &&
+             !(pending_irqs_ != 0 && regs_.interrupts_enabled);
+      fast_until =
+          deferred_irqs_ != 0 ? irq_release_at_ : ~static_cast<u64>(0);
+      // Sampling bound: fast mode must stop at the next sample boundary so
+      // the profiler fires there (sample_at_ is ~0 when detached, making
+      // this a no-op). A sample still due here, from time charged before
+      // the dispatch, keeps fast mode off until the first retire fires it.
+      if (sample_at_ < fast_until) fast_until = sample_at_;
+      if (cycles_ >= fast_until) fast = false;
+      return 0;
+    };
+    auto side_exit = [&](u8 why, GVirt va) {
+      regs_.pc = va;
+      trace_cache_.note_side_exit(why, va, executed);
+      *misses_io = walk_base;
+      return Exit{ExitReason::kNone, va};
+    };
+    // Retire `count` instructions ending with the op at `va` for `cost`
+    // cycles, plus the TLB walks missed since the last retire.
+    auto retire = [&](u64 count, Cycles cost, GVirt va) {
+      const u64 misses = mmu.stats().tlb_misses;
+      instructions_ += count;
+      cycles_ += cost + (misses - walk_base) * perf_.cost_tlb_walk;
+      walk_base = misses;
+      executed += static_cast<u32>(count);
+      last_va = va;
+    };
+
     // regs_.pc stays lazy inside the dispatch: straight-line micro-ops and
     // in-trace branches never store it (the micro-op index tracks it), and
     // every exit path materialises the architectural pc from the micro-op
     // record before anything can observe it.
     while (true) {
       const MicroOp& u = uops[i];
-      if (instructions_ >= budget_end) {
-        regs_.pc = u.va;
-        trace_cache_.note_side_exit(TraceCache::kExitBudget, regs_.pc,
-                                    executed);
-        // Past the first op every retired instruction charged its own walk
-        // delta, so the caller's next baseline is "now". With nothing
-        // retired the entry baseline still stands (the entry translate's
-        // miss, if any, is charged by whoever executes the first op).
-        if (executed != 0) *misses_io = mmu.stats().tlb_misses;
-        return {ExitReason::kNone, regs_.pc};
-      }
-      if (fast && cycles_ >= fast_until) fast = false;
-      if (!fast) {
-        // Pending sample first: fast mode parks on this boundary (fast_until
-        // is clamped to sample_at_ below), so the sample fires here with
-        // trace-tier attribution before the guard can side-exit.
-        if (cycles_ >= sample_at_) take_sample(u.va, kTierTrace);
-        // The same bail set as run_cached_tail, applied before the op (and
-        // between the halves of a fused pair): side exits hand the
-        // architectural state to the block tier exactly as uncached execution
-        // would see it.
-        u8 guard = 0;
-        if ((deferred_irqs_ != 0 && cycles_ >= irq_release_at_) ||
-            (pending_irqs_ != 0 && regs_.interrupts_enabled)) {
-          guard = TraceCache::kExitIrq;
-        } else if (u.va == suppress_bp_at_ ||
-                   (!breakpoints_.empty() && has_breakpoint(u.va))) {
-          guard = TraceCache::kExitBreakpoint;
-        } else if (mmu.fill_version() != entry_fill ||
-                   mmu.ept().generation() != entry_ept) {
-          guard = TraceCache::kExitTranslation;
-        } else if (trace_cache_.write_epoch() != entry_epoch) {
-          guard = TraceCache::kExitCodeWrite;
-        }
-        if (guard != 0) {
-          regs_.pc = u.va;
-          trace_cache_.note_side_exit(guard, regs_.pc, executed);
-          if (executed != 0) *misses_io = mmu.stats().tlb_misses;
-          return {ExitReason::kNone, regs_.pc};
-        }
-        // Pending-but-masked IRQs stay undeliverable across pure ops; a
-        // deferred IRQ is handled by the cycle bound. Armed breakpoints
-        // only matter if one sits on an op of this trace: nothing that runs
-        // in fast mode can arm one.
-        fast = (breakpoints_.empty() || !breakpoint_in(*tr)) &&
-               suppress_bp_at_ == 0xFFFFFFFFu &&
-               !(pending_irqs_ != 0 && regs_.interrupts_enabled);
-        fast_until =
-            deferred_irqs_ != 0 ? irq_release_at_ : ~static_cast<u64>(0);
-        // Sampling bound: fast mode must stop at the next sample boundary so
-        // the profiler fires there (sample_at_ > cycles_ after the take_sample
-        // above; ~0 when detached, making this a no-op).
-        if (sample_at_ < fast_until) fast_until = sample_at_;
-      }
+      if (const u8 why = boundary(u.va)) return side_exit(why, u.va);
       if (fast && u.seg > 1) {
         // Straight-line simple run: every op in it retires one instruction
         // for cost_default, cannot fault, never reads cycles_, and cannot
@@ -651,24 +627,19 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
         // batch is clamped so it stops at exactly the op boundary where
         // per-op execution would have re-checked the budget or crossed the
         // deferred-IRQ release cycle (fast implies cycles_ < fast_until and
-        // the loop-top check implies at least one instruction of budget, so
+        // the boundary check implies at least one instruction of budget, so
         // len >= 1 and at least one op retires).
         const u32 cd = perf_.cost_default != 0 ? perf_.cost_default : 1;
         u64 len = u.seg;
         if (budget_end - instructions_ < len) len = budget_end - instructions_;
         const u64 by_cycles = (fast_until - cycles_ - 1) / cd + 1;
         if (by_cycles < len) len = by_cycles;
-        if (executed == 0)
-          cycles_ +=
-              (mmu.stats().tlb_misses - misses_before) * perf_.cost_tlb_walk;
         const std::size_t stop = i + static_cast<std::size_t>(len);
         for (std::size_t e = i; e < stop; ++e) {
           const MicroOp& v = uops[e];
           exec_simple(v.kind, v.r1, v.r2, v.imm, regs_);
         }
-        instructions_ += len;
-        cycles_ += len * perf_.cost_default;
-        executed += static_cast<u32>(len);
+        retire(len, len * perf_.cost_default, uops[stop - 1].va);
         i = stop;
         if (i == n) {
           // The segment reached the end of the trace (a trace only ends on a
@@ -679,114 +650,43 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
         }
         continue;
       }
-      // Micro-op execution. Architectural and cycle effects mirror exec_insn
-      // case by case (ZF rules, rdtsc reading cycles_ before its own charge,
-      // cost_default per retired instruction, the first op carrying the
-      // entry-translate walk delta); branch targets were resolved to
-      // micro-op indices at build, so staying on the predicted chain is an
-      // index assignment, not a pc compare.
-      u64 m0;        // mem micro-ops: walk-charge baseline for this op
-      u32 mem_cost;  // mem micro-ops: cost (default / call / ret)
+      // Micro-op execution through the shared definitions (exec_simple,
+      // exec_mem, exec_insn) with exec_insn's cycle effects: rdtsc reads
+      // cycles_ before its own charge, cost_default per retired instruction
+      // unless the op has its own. Branch targets were resolved to micro-op
+      // indices at build, so staying on the predicted chain is an index
+      // assignment, not a pc compare.
       switch (u.kind) {
-        case UOp::kNop:
-        case UOp::kMovRR:
-        case UOp::kMovImm:
-        case UOp::kAddRR:
-        case UOp::kSubRR:
-        case UOp::kXorRR:
-        case UOp::kOrRR:
-        case UOp::kCmpRR:
-        case UOp::kAddImm:
-        case UOp::kSubImm:
-        case UOp::kCmpImm:
-          exec_simple(u.kind, u.r1, u.r2, u.imm, regs_);
-          break;
         case UOp::kRdtsc:
-          // Reads cycles_ before this op's own cost is charged, exactly
-          // like exec_insn (cost accrues after the switch there too).
           regs_[Reg::A] = static_cast<u32>(cycles_);
           regs_[Reg::D] = static_cast<u32>(cycles_ >> 32);
+          retire(1, perf_.cost_default, u.va);
           break;
         case UOp::kJmp:
-          ++instructions_;
-          cycles_ += perf_.cost_default;
-          if (executed == 0)
-            cycles_ += (mmu.stats().tlb_misses - misses_before) *
-                       perf_.cost_tlb_walk;
-          ++executed;
+          retire(1, perf_.cost_default, u.va);
           if (u.taken_idx != kNoTarget) {
             i = u.taken_idx;
             continue;
           }
           regs_.pc = u.taken_va;
           goto leave_trace;
-        case UOp::kJcc: {
-          ++instructions_;
-          cycles_ += perf_.cost_default;
-          if (executed == 0)
-            cycles_ += (mmu.stats().tlb_misses - misses_before) *
-                       perf_.cost_tlb_walk;
-          ++executed;
-          const bool taken = regs_.zf == (u.aux != 0);
-          const u16 idx = taken ? u.taken_idx : u.fall_idx;
-          if (idx != kNoTarget) {
-            i = idx;
-            continue;
-          }
-          regs_.pc = taken ? u.taken_va : u.fall_va;
-          goto leave_trace;
-        }
+        case UOp::kJcc:
         case UOp::kFused: {
-          // Fused ALU half: register-only, cannot fault, sets the ZF the
-          // branch consumes. Charged exactly like exec_insn.
-          exec_simple(static_cast<UOp>(u.aux & 0x7F), u.r1, u.r2, u.imm,
-                      regs_);
-          ++instructions_;
-          cycles_ += perf_.cost_default;
-          if (executed == 0)
-            cycles_ += (mmu.stats().tlb_misses - misses_before) *
-                       perf_.cost_tlb_walk;
-          ++executed;
-          // Inter-pair window: if anything fires here the ALU half is
-          // retired and pc sits on the branch — byte-identical to uncached
-          // stepping. Under `fast` only the budget can fire (the ALU half is
-          // pure).
-          if (instructions_ >= budget_end) {
-            regs_.pc = u.jcc_va;
-            trace_cache_.note_side_exit(TraceCache::kExitBudget, regs_.pc,
-                                        executed);
-            *misses_io = mmu.stats().tlb_misses;  // executed >= 1 here
-            return {ExitReason::kNone, regs_.pc};
+          if (u.kind == UOp::kFused) {
+            // ALU half: register-only, cannot fault, sets the ZF the branch
+            // consumes. Past it, if anything fires at the inter-pair
+            // boundary the ALU half is retired and pc sits on the branch —
+            // byte-identical to uncached stepping.
+            exec_simple(static_cast<UOp>(u.aux & 0x7F), u.r1, u.r2, u.imm,
+                        regs_);
+            retire(1, perf_.cost_default, u.va);
+            if (const u8 why = boundary(u.jcc_va))
+              return side_exit(why, u.jcc_va);
+            trace_cache_.note_fused_exec();
           }
-          if (fast && cycles_ >= fast_until) fast = false;
-          if (!fast) {
-            if (cycles_ >= sample_at_) take_sample(u.jcc_va, kTierTrace);
-            u8 pair_guard = 0;
-            if ((deferred_irqs_ != 0 && cycles_ >= irq_release_at_) ||
-                (pending_irqs_ != 0 && regs_.interrupts_enabled)) {
-              pair_guard = TraceCache::kExitIrq;
-            } else if (u.jcc_va == suppress_bp_at_ ||
-                       (!breakpoints_.empty() && has_breakpoint(u.jcc_va))) {
-              pair_guard = TraceCache::kExitBreakpoint;
-            } else if (mmu.fill_version() != entry_fill ||
-                       mmu.ept().generation() != entry_ept) {
-              pair_guard = TraceCache::kExitTranslation;
-            } else if (trace_cache_.write_epoch() != entry_epoch) {
-              pair_guard = TraceCache::kExitCodeWrite;
-            }
-            if (pair_guard != 0) {
-              regs_.pc = u.jcc_va;
-              trace_cache_.note_side_exit(pair_guard, regs_.pc, executed);
-              *misses_io = mmu.stats().tlb_misses;  // executed >= 1 here
-              return {ExitReason::kNone, regs_.pc};
-            }
-          }
-          // Branch half: no memory access, so no walk delta to charge.
           const bool taken = regs_.zf == ((u.aux & 0x80) != 0);
-          ++instructions_;
-          cycles_ += perf_.cost_default;
-          ++executed;
-          trace_cache_.note_fused_exec();
+          retire(1, perf_.cost_default,
+                 u.kind == UOp::kFused ? u.jcc_va : u.va);
           const u16 idx = taken ? u.taken_idx : u.fall_idx;
           if (idx != kNoTarget) {
             i = idx;
@@ -795,179 +695,88 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
           regs_.pc = taken ? u.taken_va : u.fall_va;
           goto leave_trace;
         }
-        case UOp::kPush: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          const u32 value = regs_.gpr[u.r1];  // pre-decrement, like push32
-          regs_[Reg::SP] -= 4;
-          if (!mmu.try_write32(regs_[Reg::SP], value)) goto mem_fault;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        }
-        case UOp::kPop: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          auto value = mmu.try_read32(regs_[Reg::SP]);
-          if (!value) goto mem_fault;
-          regs_[Reg::SP] += 4;
-          regs_.gpr[u.r1] = *value;  // after the bump, like exec_insn
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        }
-        case UOp::kLoad: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          auto value = mmu.try_read32(regs_.gpr[u.r2] + u.imm);
-          if (!value) goto mem_fault;
-          regs_.gpr[u.r1] = *value;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        }
+        case UOp::kPush:
+        case UOp::kPop:
+        case UOp::kLoad:
         case UOp::kStore:
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          // Materialize the architectural pc before the store reaches memory:
-          // data-frame write sinks attribute the store to the executing
-          // instruction, and the trace tier's pc is otherwise lazy.
-          regs_.pc = u.va;
-          if (!mmu.try_write32(regs_.gpr[u.r1] + u.imm, regs_.gpr[u.r2]))
-            goto mem_fault;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        case UOp::kLoadAbs: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          auto value = mmu.try_read32(u.imm);
-          if (!value) goto mem_fault;
-          regs_.gpr[u.r1] = *value;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        }
+        case UOp::kLoadAbs:
         case UOp::kStoreAbs:
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          regs_.pc = u.va;  // see kStore: sinks attribute stores by pc
-          if (!mmu.try_write32(u.imm, regs_.gpr[u.r2])) goto mem_fault;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        case UOp::kLeave: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          regs_[Reg::SP] = regs_[Reg::FP];  // before the read, like exec_insn
-          auto value = mmu.try_read32(regs_[Reg::SP]);
-          if (!value) goto mem_fault;
-          regs_[Reg::SP] += 4;
-          regs_[Reg::FP] = *value;
-          mem_cost = perf_.cost_default;
-          goto mem_retire;
-        }
-        case UOp::kCall: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          regs_[Reg::SP] -= 4;
-          if (!mmu.try_write32(regs_[Reg::SP], u.fall_va)) goto mem_fault;
-          ++instructions_;
-          cycles_ += perf_.cost_call;
-          cycles_ += (mmu.stats().tlb_misses - m0) * perf_.cost_tlb_walk;
-          ++executed;
-          if (fast && (mmu.fill_version() != entry_fill ||
-                       mmu.ept().generation() != entry_ept ||
-                       trace_cache_.write_epoch() != entry_epoch))
-            fast = false;
-          if (u.taken_idx != kNoTarget) {
-            i = u.taken_idx;
-            continue;
+        case UOp::kCall:
+        case UOp::kRet:
+        case UOp::kLeave:
+          // Materialise the pc first: data-frame write sinks attribute a
+          // store to the executing instruction, and a fault leaves it here.
+          regs_.pc = u.va;
+          if (!exec_mem(u.kind, u.r1, u.r2, u.imm, regs_, mmu)) {
+            // exec_insn's fault path: no instruction or cycle charge, pc on
+            // the faulting op, partial effects (a push's moved SP) kept.
+            end_block(u.va);
+            trace_cache_.note_side_exit(TraceCache::kExitTrap, u.va,
+                                        executed);
+            return {ExitReason::kFetchFault, u.va};
           }
-          regs_.pc = u.taken_va;
-          goto leave_trace;
-        }
-        case UOp::kRet: {
-          m0 = executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          auto value = mmu.try_read32(regs_[Reg::SP]);
-          if (!value) goto mem_fault;
-          regs_[Reg::SP] += 4;
-          ++instructions_;
-          cycles_ += perf_.cost_ret;
-          cycles_ += (mmu.stats().tlb_misses - m0) * perf_.cost_tlb_walk;
-          ++executed;
-          if (fast && (mmu.fill_version() != entry_fill ||
-                       mmu.ept().generation() != entry_ept ||
-                       trace_cache_.write_epoch() != entry_epoch))
-            fast = false;
-          regs_.pc = *value;
-          // Dynamic landing, resolved like kSlow: builds stop the chain at
-          // RET, so this is normally the last micro-op, but a recursive loop
-          // can return straight onto the trace entry.
-          if (i + 1 < n && regs_.pc == uops[i + 1].va) {
-            ++i;
-            continue;
+          retire(1,
+                 u.kind == UOp::kCall  ? perf_.cost_call
+                 : u.kind == UOp::kRet ? perf_.cost_ret
+                                       : perf_.cost_default,
+                 u.va);
+          // A data access can fill the TLB — evicting a boundary the
+          // hoisted translation check relies on — and a store can hit a
+          // watched code frame; dropping `fast` lets the next op's full
+          // guard attribute the exit.
+          if (fast && moved() != 0) fast = false;
+          if (u.kind == UOp::kCall) {
+            if (u.taken_idx != kNoTarget) {
+              i = u.taken_idx;
+              continue;
+            }
+            regs_.pc = u.taken_va;
+            goto leave_trace;
           }
-          if (regs_.pc == entry_va) {
-            i = 0;
-            continue;
-          }
-          goto leave_trace;
-        }
+          // RET popped a dynamic landing into pc, resolved like kSlow:
+          // builds stop the chain at RET, so this is normally the last
+          // micro-op, but a recursive loop can return straight onto the
+          // trace entry.
+          if (u.kind == UOp::kRet) goto land;
+          break;
         case UOp::kSlow: {
           regs_.pc = u.va;  // materialise: exec_insn is pc-relative
-          const u64 op_misses =
-              executed == 0 ? misses_before : mmu.stats().tlb_misses;
-          Exit exit = exec_insn(ops[u.slow_index].insn, op_misses);
+          Exit exit = exec_insn(tr->slow[u.slow_index], walk_base);
           if (exit.reason != ExitReason::kNone) {
             trace_cache_.note_side_exit(TraceCache::kExitTrap, regs_.pc,
                                         executed);
             return exit;
           }
+          walk_base = mmu.stats().tlb_misses;  // exec_insn retired and charged
           ++executed;
+          last_va = u.va;
           fast = false;  // may have filled the TLB, run the env, raised IRQs
-          // Landing resolution for the one op class whose successor is only
-          // known at runtime: the predicted chain, the hot-loop back edge,
-          // or off the trace.
-          if (i + 1 < n && regs_.pc == uops[i + 1].va) {
-            ++i;
-            continue;
-          }
-          if (regs_.pc == entry_va) {
-            i = 0;
-            continue;
-          }
-          goto leave_trace;
+          goto land;
         }
+        default:
+          exec_simple(u.kind, u.r1, u.r2, u.imm, regs_);
+          retire(1, perf_.cost_default, u.va);
+          break;
       }
-      // Straight-line retire shared by every non-branch pure micro-op above.
-      ++instructions_;
-      cycles_ += perf_.cost_default;
-      if (executed == 0)
-        cycles_ +=
-            (mmu.stats().tlb_misses - misses_before) * perf_.cost_tlb_walk;
-      ++executed;
+      // Straight-line successor.
       if (++i == n) {
         regs_.pc = u.fall_va;
         trace_cache_.note_completion(executed);
         break;  // chain: try to dispatch at the landing pc
       }
       continue;
-    mem_retire:
-      // Straight-line retire for the data-memory micro-ops: each charges its
-      // own walk delta (against m0, so the first op still carries the
-      // entry-translate miss). A data access can fill the TLB — evicting a
-      // boundary the hoisted translation check relies on — and a store can
-      // hit a watched code frame; either shows up as a version move, and
-      // dropping `fast` lets the next op's full guard attribute the exit.
-      ++instructions_;
-      cycles_ += mem_cost;
-      cycles_ += (mmu.stats().tlb_misses - m0) * perf_.cost_tlb_walk;
-      ++executed;
-      if (fast && (mmu.fill_version() != entry_fill ||
-                   mmu.ept().generation() != entry_ept ||
-                   trace_cache_.write_epoch() != entry_epoch))
-        fast = false;
-      if (++i == n) {
-        regs_.pc = u.fall_va;
-        trace_cache_.note_completion(executed);
-        break;
+    land:
+      // Landing resolution for the ops whose successor is only known at
+      // runtime: the predicted chain, the hot-loop back edge, or off the
+      // trace.
+      if (i + 1 < n && regs_.pc == uops[i + 1].va) {
+        ++i;
+        continue;
       }
-      continue;
-    mem_fault:
-      // Mirror exec_insn's GuestDataFault path exactly: no instruction or
-      // cycle charge, pc back on the faulting op, partial register effects
-      // (a push's moved SP) left in place.
-      in_block_ = false;  // end_block with no trace sink attached
-      regs_.pc = u.va;
-      trace_cache_.note_side_exit(TraceCache::kExitTrap, regs_.pc, executed);
-      return {ExitReason::kFetchFault, u.va};
+      if (regs_.pc == entry_va) {
+        i = 0;
+        continue;
+      }
     leave_trace:
       // A branch (or slow op) left the micro-op array: running off the last
       // op is a completion, leaving mid-trace is a prediction side exit.
@@ -980,11 +789,13 @@ Exit Vcpu::run_traced(u64 budget_end, u64* misses_io, bool* dispatched) {
                                     executed);
       break;
     }
-    // Chain point: every retired op charged its own walk delta, so the next
-    // dispatch's first-op baseline is "right here" — crucially *before* the
-    // next iteration's entry translate, whose miss must survive a decline
-    // and reach step() uncharged.
-    *misses_io = mmu.stats().tlb_misses;
+    // Chain point: the last retire's sample fires here, before anything can
+    // run in another tier, and its miss count is the next dispatch's
+    // first-op baseline — crucially taken *before* the next iteration's
+    // entry translate, whose miss must survive a decline and reach step()
+    // uncharged.
+    if (cycles_ >= sample_at_) take_sample(last_va, kTierTrace);
+    *misses_io = walk_base;
   }
 }
 

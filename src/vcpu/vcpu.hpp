@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -90,6 +91,66 @@ inline void exec_simple(UOp kind, u8 r1, u8 r2, u32 imm, Regs& regs) {
       return;
     default:
       FC_UNREACHABLE(<< "not a simple micro-op");
+  }
+}
+
+/// Stack halves with the interpreter's partial effects, shared by exec_mem
+/// and the multi-word stack ops (PUSHA, POPA, IRET, CALLTAB): a push moves
+/// SP before its write, so a faulting push leaves SP moved; a pop bumps SP
+/// only after its read succeeds, then assigns `out` (so POP SP keeps the
+/// popped value). Both return false when the access faulted.
+inline bool push32(Regs& regs, mem::Mmu& mmu, u32 value) {
+  regs[isa::Reg::SP] -= 4;
+  return mmu.try_write32(regs[isa::Reg::SP], value);
+}
+
+inline bool pop32(Regs& regs, mem::Mmu& mmu, u32& out) {
+  const std::optional<u32> value = mmu.try_read32(regs[isa::Reg::SP]);
+  if (!value) return false;
+  regs[isa::Reg::SP] += 4;
+  out = *value;
+  return true;
+}
+
+/// Data-memory instruction semantics, defined once for every tier: exec_insn
+/// and the trace tier's memory micro-ops both execute through here. `kind`
+/// is a memory UOp (see mem_uop), `imm` its mem_imm. Same MMU calls in the
+/// same order as the architectural definition, partial effects included:
+/// a faulting PUSH or CALL leaves SP moved, LEAVE leaves SP = FP. CALL and
+/// RET do only their stack half (RET pops into regs.pc; the caller sets
+/// CALL's target). Retirement and cycle accounting stay with the caller.
+/// Returns false when the access faulted.
+inline bool exec_mem(UOp kind, u8 r1, u8 r2, u32 imm, Regs& regs,
+                     mem::Mmu& mmu) {
+  u32* gpr = regs.gpr.data();
+  switch (kind) {
+    case UOp::kPush:
+      return push32(regs, mmu, gpr[r1]);  // the value predates the SP move
+    case UOp::kPop:
+      return pop32(regs, mmu, gpr[r1]);
+    case UOp::kLoad: {
+      const std::optional<u32> value = mmu.try_read32(gpr[r2] + imm);
+      if (value) gpr[r1] = *value;
+      return value.has_value();
+    }
+    case UOp::kStore:
+      return mmu.try_write32(gpr[r1] + imm, gpr[r2]);
+    case UOp::kLoadAbs: {
+      const std::optional<u32> value = mmu.try_read32(imm);
+      if (value) gpr[r1] = *value;
+      return value.has_value();
+    }
+    case UOp::kStoreAbs:
+      return mmu.try_write32(imm, gpr[r2]);
+    case UOp::kCall:
+      return push32(regs, mmu, imm);
+    case UOp::kRet:
+      return pop32(regs, mmu, regs.pc);
+    case UOp::kLeave:
+      regs[isa::Reg::SP] = regs[isa::Reg::FP];
+      return pop32(regs, mmu, gpr[static_cast<u8>(isa::Reg::FP)]);
+    default:
+      FC_UNREACHABLE(<< "not a memory micro-op");
   }
 }
 

@@ -321,6 +321,20 @@ TEST_F(TraceCacheFixture, DisablingDropsResidentTraces) {
 
 constexpr u32 kBodyOps = 48;
 
+/// Records every sample the vCPU fires.
+struct SampleLog final : SampleSink {
+  struct Sample {
+    Cycles now;
+    GVirt pc;
+    u8 tier;
+    u64 periods;
+  };
+  void on_sample(Cycles now, GVirt pc, u8 tier, u64 periods) override {
+    samples.push_back({now, pc, tier, periods});
+  }
+  std::vector<Sample> samples;
+};
+
 /// The uncached interpreter and the tier under test, loaded with the same
 /// bytes and run with the same budgets.
 class BatchBoundary : public ::testing::TestWithParam<bool> {
@@ -387,6 +401,27 @@ class BatchBoundary : public ::testing::TestWithParam<bool> {
     EXPECT_EQ(c.instructions_retired(), p.instructions_retired());
     EXPECT_EQ(cached_.machine.mmu().stats().tlb_misses,
               plain_.machine.mmu().stats().tlb_misses);
+  }
+
+  /// Same samples in the same order: cycle, weight and pc (every tier
+  /// names the op it just retired), and the tier under test took some.
+  void expect_same_samples(const SampleLog& cached_log,
+                           const SampleLog& plain_log) const {
+    ASSERT_EQ(cached_log.samples.size(), plain_log.samples.size());
+    u32 traced = 0;
+    for (std::size_t i = 0; i < cached_log.samples.size(); ++i) {
+      const SampleLog::Sample& c = cached_log.samples[i];
+      const SampleLog::Sample& p = plain_log.samples[i];
+      EXPECT_EQ(c.now, p.now) << "sample " << i;
+      EXPECT_EQ(c.periods, p.periods) << "sample " << i;
+      EXPECT_EQ(c.pc, p.pc) << "sample " << i;
+      EXPECT_EQ(p.tier, kTierInterp);
+      if (c.tier == kTierTrace)
+        ++traced;
+      else
+        EXPECT_EQ(c.tier, kTierBlock) << "sample " << i;
+    }
+    EXPECT_EQ(traced != 0, trace_tier());
   }
 
   /// Both tiers actually carried the body: the block tier served it from
@@ -499,20 +534,6 @@ TEST_P(BatchBoundary, DeferredIrqReleaseMidRun) {
   expect_tier_ran();
 }
 
-/// Records every sample the vCPU fires.
-struct SampleLog final : SampleSink {
-  struct Sample {
-    Cycles now;
-    GVirt pc;
-    u8 tier;
-    u64 periods;
-  };
-  void on_sample(Cycles now, GVirt pc, u8 tier, u64 periods) override {
-    samples.push_back({now, pc, tier, periods});
-  }
-  std::vector<Sample> samples;
-};
-
 TEST_P(BatchBoundary, SamplerPeriodBoundaryMidRun) {
   Assembler a = body_loop(8);
   load(a.finish(kCodeVa));
@@ -523,25 +544,33 @@ TEST_P(BatchBoundary, SamplerPeriodBoundaryMidRun) {
   plain_.vcpu.set_sample_sink(&plain_log, 37);
   EXPECT_EQ(run(10'000).reason, ExitReason::kHalt);
 
-  ASSERT_EQ(cached_log.samples.size(), plain_log.samples.size());
   ASSERT_GT(cached_log.samples.size(), 4u);
-  u32 traced = 0;
-  for (std::size_t i = 0; i < cached_log.samples.size(); ++i) {
-    const SampleLog::Sample& c = cached_log.samples[i];
-    const SampleLog::Sample& p = plain_log.samples[i];
-    EXPECT_EQ(c.now, p.now) << "sample " << i;
-    EXPECT_EQ(c.periods, p.periods) << "sample " << i;
-    EXPECT_EQ(p.tier, kTierInterp);
-    // The trace tier samples at its per-op guard and names the op it is
-    // about to run; the other tiers name the op they just retired.
-    if (c.tier == kTierTrace) {
-      ++traced;
-      continue;
-    }
-    EXPECT_EQ(c.tier, kTierBlock) << "sample " << i;
-    EXPECT_EQ(c.pc, p.pc) << "sample " << i;
+  expect_same_samples(cached_log, plain_log);
+  expect_tier_ran();
+}
+
+TEST_P(BatchBoundary, SampleDueAtDispatchEntry) {
+  // Time charged outside any instruction (here between run() calls, as a
+  // hypervisor charges a view switch) makes a sample due before the next
+  // op runs. Every tier fires it after that op retires, naming it — at the
+  // trace tier, the first op of a dispatch that would otherwise batch the
+  // whole body.
+  Assembler a = body_loop(8);
+  load(a.finish(kCodeVa));
+  SampleLog cached_log;
+  SampleLog plain_log;
+  cached_.vcpu.set_sample_sink(&cached_log, 1000);
+  plain_.vcpu.set_sample_sink(&plain_log, 1000);
+  for (u32 pass = 3; pass < 8; ++pass) {
+    // To the head of the next pass, then past the next sample boundary.
+    EXPECT_EQ(run(pass == 3 ? 3 + 3 * (kBodyOps + 2) : kBodyOps + 2).reason,
+              ExitReason::kInstructionLimit);
+    EXPECT_EQ(cached_.vcpu.regs().pc, body_op(0));
+    both([](Vcpu& v) { v.charge(1000); });
   }
-  EXPECT_EQ(traced != 0, trace_tier());
+  EXPECT_EQ(run(10'000).reason, ExitReason::kHalt);
+  ASSERT_GE(cached_log.samples.size(), 5u);
+  expect_same_samples(cached_log, plain_log);
   expect_tier_ran();
 }
 
@@ -608,6 +637,224 @@ TEST_P(BatchBoundary, MemoryFormOrInsideRunIsNotBatched) {
   EXPECT_EQ(cached_.vcpu.regs()[Reg::A], 8 * 24u);
   expect_tier_ran();
 }
+
+// --- data faults inside a hot loop -----------------------------------------
+//
+// Each memory op the tiers share a definition of (exec_mem) faults on an
+// unmapped address after kFaultPasses - 1 clean passes of a promoted loop.
+// The run stops at the head of the faulting pass first, so at the trace
+// tier the faulting pass is exactly one trace dispatch that ends on the
+// fault. Beyond parity with the uncached interpreter, each case checks the
+// SP the fault leaves (a faulting PUSH or CALL has moved it), which parity
+// alone cannot see: every tier runs the same definition.
+
+constexpr u32 kFaultPasses = 40;
+constexpr u32 kLoopCount = 1000;  // D's start: the loop never runs out
+constexpr GVirt kMapEnd = kKernelBase + 8 * 1024 * 1024;  // MiniGuest's 8 MiB
+
+/// A fault loop: B = 1, D = kLoopCount, the case's `setup`, then
+/// head: `body` (which emits the memory op and returns its code offset),
+/// SUB D,B, JNZ head; HLT (never reached).
+struct FaultLoop {
+  std::vector<u8> bytes;
+  GVirt op_va = 0;
+  u64 prologue = 0;  // instructions before the first pass
+  u64 pass_len = 0;  // instructions per pass
+};
+
+template <class Setup, class Body>
+FaultLoop fault_loop(u64 setup_insns, Setup setup, u64 body_insns,
+                     Body body) {
+  Assembler a;
+  a.mov_imm(Reg::B, 1);
+  a.mov_imm(Reg::D, kLoopCount);
+  setup(a);
+  auto head = a.make_label();
+  a.bind(head);
+  const u32 op_at = body(a);
+  a.sub(Reg::D, Reg::B);
+  a.jnz_near(head);
+  a.hlt();
+  return {a.finish(kCodeVa), kCodeVa + op_at, 2 + setup_insns,
+          body_insns + 2};
+}
+
+/// Emit `emit` and return the code offset it starts at.
+template <class F>
+u32 at(Assembler& a, F emit) {
+  const u32 offset = a.size();
+  emit();
+  return offset;
+}
+
+class DataFault : public BatchBoundary {
+ protected:
+  /// Run `loop` into its faulting pass; the fault must land on the memory
+  /// op with SP at `expected_sp` in every tier. A non-zero `hole` is a page
+  /// unmapped at the head of the faulting pass.
+  void expect_fault(const FaultLoop& loop, u32 expected_sp, GVirt hole = 0) {
+    load(loop.bytes);
+    EXPECT_EQ(run(loop.prologue + (kFaultPasses - 1) * loop.pass_len).reason,
+              ExitReason::kInstructionLimit);
+    EXPECT_EQ(cached_.vcpu.regs()[Reg::D], kLoopCount - (kFaultPasses - 1));
+    if (hole != 0) unmap_page(hole);
+    const TraceCache::Stats before = cached_.vcpu.trace_cache().stats();
+    const u64 insns_before = cached_.vcpu.instructions_retired();
+
+    const Exit exit = run(10'000);
+    EXPECT_EQ(exit.reason, ExitReason::kFetchFault);
+    EXPECT_EQ(exit.pc, loop.op_va);
+    EXPECT_EQ(cached_.vcpu.regs()[Reg::SP], expected_sp);
+    if (trace_tier()) {
+      const TraceCache::Stats& after = cached_.vcpu.trace_cache().stats();
+      EXPECT_EQ(after.dispatched - before.dispatched, 1u);
+      EXPECT_EQ(after.side_exits - before.side_exits, 1u);
+      EXPECT_EQ(after.trace_insns - before.trace_insns,
+                cached_.vcpu.instructions_retired() - insns_before);
+    } else {
+      EXPECT_GT(cached_.vcpu.block_cache().stats().insn_hits, kFaultPasses);
+    }
+  }
+
+  /// Point both vCPUs at a fresh page directory mapping the kernel half
+  /// minus the page at `hole` (the CR3 write flushes the TLB).
+  void unmap_page(GVirt hole) {
+    for (MiniGuest* g : {&cached_, &plain_}) {
+      mem::GuestPageTableBuilder builder(g->machine, 0x100000, 0x200000);
+      const GPhys dir = builder.create_directory();
+      const u32 below = (hole - kKernelBase) / kPageSize;
+      builder.map(dir, kKernelBase, 0, below);
+      builder.map(dir, hole + kPageSize, (below + 1) * kPageSize,
+                  g->machine.guest_phys_pages() - below - 1);
+      g->vcpu.set_cr3(dir);
+    }
+  }
+
+  /// Fill `count` stack words from `sp` up with `value` on both machines.
+  void fill_stack(GVirt sp, u32 count, u32 value) {
+    for (MiniGuest* g : {&cached_, &plain_})
+      for (u32 k = 0; k < count; ++k)
+        g->machine.pwrite32(mem::GuestLayout::kernel_pa(sp + 4 * k), value);
+  }
+};
+
+constexpr GVirt kFaultData = kKernelBase + 0x50000;
+// SP starts for the stack cases: one word per pass, so pass kFaultPasses
+// is the first to step off the kernel half (downwards) or the mapping's
+// end (upwards).
+constexpr GVirt kSpDown = kKernelBase + 4 * (kFaultPasses - 1);
+constexpr GVirt kSpUp = kMapEnd - 4 * (kFaultPasses - 1);
+// Pointer start for the page-walking cases: one page per pass (a TLB miss
+// each), off the mapping's end on pass kFaultPasses.
+constexpr GVirt kWalkFrom = kMapEnd - (kFaultPasses - 1) * kPageSize;
+
+TEST_P(DataFault, Push) {
+  const FaultLoop loop = fault_loop(
+      1, [](Assembler& a) { a.mov_imm(Reg::SP, kSpDown); }, 1,
+      [](Assembler& a) { return at(a, [&] { a.push(Reg::B); }); });
+  expect_fault(loop, kKernelBase - 4);  // moved before the faulting write
+}
+
+TEST_P(DataFault, Pop) {
+  const FaultLoop loop = fault_loop(
+      1, [](Assembler& a) { a.mov_imm(Reg::SP, kSpUp); }, 1,
+      [](Assembler& a) { return at(a, [&] { a.pop(Reg::C); }); });
+  expect_fault(loop, kMapEnd);  // not bumped past the faulting read
+}
+
+TEST_P(DataFault, Load) {
+  const FaultLoop loop = fault_loop(
+      2,
+      [](Assembler& a) {
+        a.mov_imm(Reg::SI, kWalkFrom - 8);
+        a.mov_imm(Reg::FP, kPageSize);
+      },
+      2,
+      [](Assembler& a) {
+        const u32 op = at(a, [&] { a.load(Reg::C, Reg::SI, 8); });
+        a.add(Reg::SI, Reg::FP);
+        return op;
+      });
+  expect_fault(loop, kStackTop);
+}
+
+TEST_P(DataFault, Store) {
+  const FaultLoop loop = fault_loop(
+      2,
+      [](Assembler& a) {
+        a.mov_imm(Reg::DI, kWalkFrom + 8);
+        a.mov_imm(Reg::FP, kPageSize);
+      },
+      2,
+      [](Assembler& a) {
+        const u32 op = at(a, [&] { a.store(Reg::DI, -8, Reg::B); });
+        a.add(Reg::DI, Reg::FP);
+        return op;
+      });
+  expect_fault(loop, kStackTop);
+}
+
+TEST_P(DataFault, LoadAbs) {
+  // A fixed address: its page is unmapped at the head of the faulting pass.
+  const FaultLoop loop = fault_loop(
+      0, [](Assembler&) {}, 1,
+      [](Assembler& a) { return at(a, [&] { a.load_abs(kFaultData); }); });
+  expect_fault(loop, kStackTop, kFaultData);
+}
+
+TEST_P(DataFault, StoreAbs) {
+  const FaultLoop loop = fault_loop(
+      0, [](Assembler&) {}, 1,
+      [](Assembler& a) { return at(a, [&] { a.store_abs(kFaultData); }); });
+  expect_fault(loop, kStackTop, kFaultData);
+}
+
+TEST_P(DataFault, Leave) {
+  // LEAVE sets SP = FP before its read, so the fault leaves SP there.
+  const FaultLoop loop = fault_loop(
+      2,
+      [](Assembler& a) {
+        a.mov_imm(Reg::SI, kWalkFrom);
+        a.mov_imm(Reg::C, kPageSize);
+      },
+      3,
+      [](Assembler& a) {
+        a.mov(Reg::FP, Reg::SI);
+        const u32 op = at(a, [&] { a.leave(); });
+        a.add(Reg::SI, Reg::C);
+        return op;
+      });
+  expect_fault(loop, kMapEnd);
+}
+
+TEST_P(DataFault, Call) {
+  // A call to the next instruction: each pass pushes one return address.
+  const FaultLoop loop = fault_loop(
+      1, [](Assembler& a) { a.mov_imm(Reg::SP, kSpDown); }, 1,
+      [](Assembler& a) {
+        auto next = a.make_label();
+        const u32 op = at(a, [&] { a.call(next); });
+        a.bind(next);
+        return op;
+      });
+  expect_fault(loop, kKernelBase - 4);  // moved before the faulting write
+}
+
+TEST_P(DataFault, Ret) {
+  // Each pass returns to the instruction after the RET through a stack
+  // prefilled with that address.
+  const FaultLoop loop = fault_loop(
+      1, [](Assembler& a) { a.mov_imm(Reg::SP, kSpUp); }, 1,
+      [](Assembler& a) { return at(a, [&] { a.ret(); }); });
+  fill_stack(kSpUp, kFaultPasses - 1, loop.op_va + 1);
+  expect_fault(loop, kMapEnd);  // not bumped past the faulting read
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, DataFault, ::testing::Values(false, true),
+                         [](const auto& param_info) {
+                           return param_info.param ? "TraceTier"
+                                                   : "BlockTier";
+                         });
 
 INSTANTIATE_TEST_SUITE_P(Tiers, BatchBoundary, ::testing::Values(false, true),
                          [](const auto& param_info) {
